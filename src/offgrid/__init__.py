@@ -22,7 +22,6 @@ from .config import (  # noqa: F401
 )
 from .schedule import SecondaryLoadSchedule, build_secondary_profile  # noqa: F401
 from .weather import (  # noqa: F401
-    WeatherRecord,
     WeatherSeries,
     parse_weather_csv,
     resample,

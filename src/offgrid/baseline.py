@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .config import BatteryParams, SystemConfig
-from .devices import fridge_energy, pv_potential
+from .devices import fridge_energy
 from .mpc import ControlCommand
 
 if TYPE_CHECKING:
@@ -104,10 +104,8 @@ class BaselineController:
         exo = scenario.at(k)
         f = self.config.fridge
         u_req = deadband_fridge(self.state, state.t_fr_c, f.t_min_c, f.t_max_c)
-        e_pv = pv_potential(self.config.pv, exo.weather.ghi, exo.weather.t_ambient,
-                            exo.weather.wind_speed, self.config.step_hours)
         fr, s, c, d = baseline_dispatch(
-            e_pv=e_pv,
+            e_pv=exo.e_pv_wh,
             demand_fr=u_req * self._e_fr,
             demand_s=exo.e_secondary_wh,
             e_bat=state.e_bat_wh,

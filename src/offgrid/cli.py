@@ -121,20 +121,16 @@ def _scenario(args, cfg: SystemConfig):
     return build_scenario(weather, cfg, days=args.days, house_trace=trace)
 
 
-def _write_solver_log(trace: SimulationTrace, path: Path) -> int:
-    """Per-step solver log; returns the stall (TimeLimit) count."""
-    stalls = 0
+def _write_solver_log(trace: SimulationTrace, path: Path) -> None:
+    """Per-step solver log."""
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(SOLVER_LOG_COLUMNS)
         for i, rec in enumerate(trace):
-            if rec.solver_status == "TimeLimit":
-                stalls += 1
             writer.writerow([i, rec.solver_status, f"{rec.solver_objective:.8g}",
                              f"{rec.solver_bound:.8g}", f"{rec.solver_rel_gap:.6g}",
                              rec.solver_nodes, f"{rec.solver_wall_s:.4g}", rec.fallback])
-    return stalls
 
 
 def read_solver_log(path: str | Path) -> list[dict]:
@@ -152,8 +148,9 @@ def _run_one(controller: str, scenario, cfg: SystemConfig, options: SolverOption
     save_metrics(metrics, out_dir / "metrics.txt",
                  header=f"controller: {controller}")
     if controller == "proposed":
-        stalls = _write_solver_log(trace, out_dir / "solver_log.csv")
-        log.info("solver stalled (TimeLimit) on %d of %d steps", stalls, len(trace))
+        _write_solver_log(trace, out_dir / "solver_log.csv")
+        log.info("solver stalled (TimeLimit) on %d of %d steps",
+                 metrics.solver_stalls, len(trace))
     return metrics
 
 

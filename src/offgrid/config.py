@@ -58,7 +58,6 @@ class BatteryParams:
     e_discharge_max_wh: float = 844.5
     eta_charge: float = 0.9
     eta_discharge: float = 0.9
-    fast_multiplier: float = 2.0
 
     def __post_init__(self):
         if not 0 <= self.e_min_wh < self.e_max_wh:
@@ -69,8 +68,6 @@ class BatteryParams:
             v = getattr(self, name)
             if not 0 < v <= 1:
                 raise ConfigError(f"battery.{name} must lie in (0,1]")
-        if self.fast_multiplier < 1:
-            raise ConfigError("battery.fast_multiplier must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,10 @@ sits outside the band by more than `tol` (default 0.05 degC, so the
 controller's minor soft-slack excursions are counted rather than ignored).
 Secondary service is measured against the occupants' schedule; primary
 service against the controller's own compressor requests (shedding records).
+So `primary_unserved_hours_per_day` counts only fridge requests the plant
+shed for lack of energy: a fridge that the optimizing controller itself
+leaves off is not counted, however warm it gets. That cost shows up in the
+temperature-violation metric instead.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ Nodes are solved eagerly and kept on a min-heap keyed by their LP relaxation
 value, so the popped bound is always the proven global lower bound; the
 relative gap against the incumbent is therefore meaningful at every step.
 Branching picks the most fractional binary (ties to the lowest index), and a
-cheap round-and-fix heuristic is run at the root and periodically to obtain
-incumbents early. Terminal status:
+cheap round-and-fix heuristic is run at the root and every HEURISTIC_INTERVAL
+nodes to obtain incumbents early. Terminal status:
 
   Optimal   - the tree is exhausted (or the bound meets the incumbent).
   GapLimit  - the relative gap reached rel_gap_limit with open nodes left.
@@ -28,6 +28,7 @@ from .model import MilpModel, check_solution
 from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp_std
 
 GAP_DENOM_FLOOR = 1e-10
+HEURISTIC_INTERVAL = 25
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class SolverOptions:
     node_limit: int | None = None
     feasibility_tol: float = 1e-7
     integrality_tol: float = 1e-6
-    heuristic_interval: int = 25
 
     def __post_init__(self):
         if self.rel_gap_limit <= 0:
@@ -197,7 +197,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
         if options.node_limit is not None and nodes >= options.node_limit:
             return done("TimeLimit", global_bound, "node budget exhausted")
 
-        if nodes % options.heuristic_interval == 0:
+        if nodes % HEURISTIC_INTERVAL == 0:
             round_fix_heuristic(x_lp, lb, ub)
             if incumbent_x is not None and bound >= incumbent_obj - 1e-9:
                 return done("Optimal", incumbent_obj)

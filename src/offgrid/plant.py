@@ -1,37 +1,36 @@
 """Ground-truth closed-loop plant: interaction equations, shedding, tracing.
 
-Each step: compute the PV potential from weather, derive the house load of
-the granted load set (inverter losses included), let the charge controller
-move energy subject to its caps and the battery's true headroom, advance the
-battery and fridge states. Commands that are not energy-feasible degrade by
-shedding the secondary circuit first, then the refrigerator; unserved energy
-is recorded so the metrics stay honest under controller error.
+Each step: take the step's PV potential from the scenario, derive the house
+load of the granted load set (inverter losses included), let the charge
+controller move energy subject to its caps and the battery's true headroom,
+advance the battery and fridge states. Commands that are not energy-feasible
+degrade by shedding the secondary circuit first, then the refrigerator;
+unserved energy is recorded so the metrics stay honest under controller error.
 
 Conservation identities maintained every step (audited by the test suite):
   pv_potential == pv_used + pv_unused
   pv_used      == load_served_from_pv + battery_charge
 and the battery never leaves [e_min, e_max].
+
+The trace CSV has one column per StepRecord field, in field order; each
+column's text format and parser follow from the field's type.
 """
 
 from __future__ import annotations
 
 import csv
-import logging
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, fields
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Literal
-
-import numpy as np
+from typing import Literal, get_type_hints
 
 from .config import SystemConfig
-from .devices import battery_step, fridge_discretize, fridge_energy, fridge_step, pv_potential
+from .devices import battery_step, fridge_discretize, fridge_energy, fridge_step
 from .errors import DataError, OffgridError
 from .milp import MilpSolution, SolverOptions
 from .mpc import ControlCommand, MpcController
 from .scenario import Scenario
-
-log = logging.getLogger(__name__)
 
 BOUND_EPS = 1e-9
 
@@ -106,14 +105,18 @@ class StepRecord:
     fallback: int = 0
 
 
-TRACE_COLUMNS = [
-    "timestamp", "t_fr", "e_bat", "u_fr_req", "u_fr_applied", "u_s_req",
-    "u_s_applied", "gamma", "c", "d", "x_bat", "e_pv", "e_pv_used", "e_hl",
-    "e_c", "e_dc", "unserved_fr", "unserved_s", "ghi", "t_house",
-    "e_s_scheduled", "t_fr_end", "e_bat_end", "solver_status",
-    "solver_objective", "solver_bound", "solver_rel_gap", "solver_nodes",
-    "solver_wall_s", "fallback",
-]
+TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
+
+# Field type -> (format spec for to_csv, parser for read_trace_csv). An empty
+# spec writes str(value); a datetime then reads back with fromisoformat.
+_CSV_CODECS = {
+    datetime: ("", datetime.fromisoformat),
+    float: (".10g", float),
+    int: ("", int),
+    str: ("", str),
+}
+_FIELD_CODECS = [_CSV_CODECS[t] for t in get_type_hints(StepRecord).values()]
+_record_values = operator.attrgetter(*TRACE_COLUMNS)
 
 
 @dataclass
@@ -141,20 +144,8 @@ class SimulationTrace:
             writer = csv.writer(fh)
             writer.writerow(TRACE_COLUMNS)
             for r in self.records:
-                writer.writerow([
-                    r.timestamp.isoformat(sep=" "),
-                    f"{r.t_fr:.10g}", f"{r.e_bat:.10g}",
-                    r.u_fr_req, r.u_fr_applied, r.u_s_req, r.u_s_applied,
-                    f"{r.gamma:.10g}", r.c, r.d, r.x_bat,
-                    f"{r.e_pv:.10g}", f"{r.e_pv_used:.10g}", f"{r.e_hl:.10g}",
-                    f"{r.e_c:.10g}", f"{r.e_dc:.10g}",
-                    f"{r.unserved_fr:.10g}", f"{r.unserved_s:.10g}",
-                    f"{r.ghi:.10g}", f"{r.t_house:.10g}", f"{r.e_s_scheduled:.10g}",
-                    f"{r.t_fr_end:.10g}", f"{r.e_bat_end:.10g}",
-                    r.solver_status, f"{r.solver_objective:.10g}",
-                    f"{r.solver_bound:.10g}", f"{r.solver_rel_gap:.10g}",
-                    r.solver_nodes, f"{r.solver_wall_s:.6g}", r.fallback,
-                ])
+                writer.writerow([format(v, spec) for (spec, _), v
+                                 in zip(_FIELD_CODECS, _record_values(r))])
 
 
 def read_trace_csv(path: str | Path, step_hours: float | None = None,
@@ -165,32 +156,16 @@ def read_trace_csv(path: str | Path, step_hours: float | None = None,
         raise DataError(f"trace file not found: {path}")
     records: list[StepRecord] = []
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(TRACE_COLUMNS) - set(reader.fieldnames or [])
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(TRACE_COLUMNS) - set(header)
         if missing:
             raise DataError(f"{path}: missing trace columns {sorted(missing)}")
+        columns = [(header.index(name), parse)
+                   for name, (_, parse) in zip(TRACE_COLUMNS, _FIELD_CODECS)]
         for row in reader:
-            records.append(StepRecord(
-                timestamp=datetime.fromisoformat(row["timestamp"]),
-                t_fr=float(row["t_fr"]), e_bat=float(row["e_bat"]),
-                u_fr_req=int(row["u_fr_req"]), u_fr_applied=int(row["u_fr_applied"]),
-                u_s_req=int(row["u_s_req"]), u_s_applied=int(row["u_s_applied"]),
-                gamma=float(row["gamma"]), c=int(row["c"]), d=int(row["d"]),
-                x_bat=int(row["x_bat"]), e_pv=float(row["e_pv"]),
-                e_pv_used=float(row["e_pv_used"]), e_hl=float(row["e_hl"]),
-                e_c=float(row["e_c"]), e_dc=float(row["e_dc"]),
-                unserved_fr=float(row["unserved_fr"]), unserved_s=float(row["unserved_s"]),
-                ghi=float(row["ghi"]), t_house=float(row["t_house"]),
-                e_s_scheduled=float(row["e_s_scheduled"]),
-                t_fr_end=float(row["t_fr_end"]), e_bat_end=float(row["e_bat_end"]),
-                solver_status=row["solver_status"],
-                solver_objective=float(row["solver_objective"]),
-                solver_bound=float(row["solver_bound"]),
-                solver_rel_gap=float(row["solver_rel_gap"]),
-                solver_nodes=int(row["solver_nodes"]),
-                solver_wall_s=float(row["solver_wall_s"]),
-                fallback=int(row["fallback"]),
-            ))
+            if row:
+                records.append(StepRecord(*[parse(row[i]) for i, parse in columns]))
     if not records:
         raise DataError(f"{path}: empty trace")
     if step_hours is None:
@@ -204,7 +179,7 @@ def read_trace_csv(path: str | Path, step_hours: float | None = None,
 def plant_step(
     state: PlantState,
     cmd: ControlCommand,
-    weather,
+    e_pv_wh: float,
     t_house: float,
     e_secondary: float,
     config: SystemConfig,
@@ -212,6 +187,7 @@ def plant_step(
 ) -> tuple[PlantState, PlantFlows, int, int]:
     """Apply one command to the physical models; total, never raises on shortfall.
 
+    `e_pv_wh` is the step's PV energy potential (Wh), as the scenario holds it.
     Returns (next_state, flows, applied_u_fr, applied_u_s). `requested` is the
     controller's pre-shedding wish used for the unserved-energy bookkeeping
     (defaults to the command itself).
@@ -219,8 +195,6 @@ def plant_step(
     bat = config.battery
     if not (bat.e_min_wh - 1e-6 <= state.e_bat_wh <= bat.e_max_wh + 1e-6):
         raise OffgridError(f"battery state {state.e_bat_wh} outside bounds")
-    e_pv = pv_potential(config.pv, weather.ghi, weather.t_ambient,
-                        weather.wind_speed, config.step_hours)
     e_fr = fridge_energy(config.fridge, config.step_hours)
     req_fr, req_s = requested if requested is not None else (cmd.u_fr, cmd.u_s)
 
@@ -238,16 +212,16 @@ def plant_step(
     fr, s = cmd.u_fr, cmd.u_s
     for fr, s in ((cmd.u_fr, cmd.u_s), (cmd.u_fr, 0), (0, 0)):
         e_hl = (fr * e_fr + s * e_secondary) / config.inverter_efficiency
-        if e_pv + deliverable >= e_hl - BOUND_EPS:
+        if e_pv_wh + deliverable >= e_hl - BOUND_EPS:
             break
 
-    e_charge = cmd.c * max(0.0, min(e_pv - e_hl,
+    e_charge = cmd.c * max(0.0, min(e_pv_wh - e_hl,
                                     bat.e_max_wh - state.e_bat_wh,
                                     cmd.x_bat * bat.e_charge_max_wh))
-    e_discharge = max(0.0, min(e_hl - e_pv, deliverable, bat.e_discharge_max_wh))
-    pv_to_load = min(e_pv, e_hl)
+    e_discharge = max(0.0, min(e_hl - e_pv_wh, deliverable, bat.e_discharge_max_wh))
+    pv_to_load = min(e_pv_wh, e_hl)
     e_pv_used = pv_to_load + e_charge
-    e_pv_unused = e_pv - e_pv_used
+    e_pv_unused = e_pv_wh - e_pv_used
 
     e_next = battery_step(bat, state.e_bat_wh, e_charge, e_discharge)
     e_next = min(max(e_next, bat.e_min_wh), bat.e_max_wh)  # snap roundoff only
@@ -255,7 +229,7 @@ def plant_step(
     t_next = fridge_step(disc, state.t_fr_c, fr, t_house)
 
     flows = PlantFlows(
-        e_pv=e_pv,
+        e_pv=e_pv_wh,
         e_pv_used=e_pv_used,
         e_pv_unused=e_pv_unused,
         e_hl=e_hl,
@@ -314,11 +288,11 @@ def run_closed_loop(
         decision = controller.decide(state, scenario, k)
         cmd = decision.command
         next_state, flows, fr, s = plant_step(
-            state, cmd, exo.weather, exo.t_house_c, exo.e_secondary_wh, config,
+            state, cmd, exo.e_pv_wh, exo.t_house_c, exo.e_secondary_wh, config,
             requested=(decision.requested_u_fr, decision.requested_u_s),
         )
         rec = StepRecord(
-            timestamp=exo.weather.timestamp,
+            timestamp=exo.timestamp,
             t_fr=state.t_fr_c,
             e_bat=state.e_bat_wh,
             u_fr_req=decision.requested_u_fr,
@@ -336,7 +310,7 @@ def run_closed_loop(
             e_dc=flows.e_discharge,
             unserved_fr=flows.unserved_fr,
             unserved_s=flows.unserved_s,
-            ghi=exo.weather.ghi,
+            ghi=exo.ghi,
             t_house=exo.t_house_c,
             e_s_scheduled=exo.e_secondary_wh,
             t_fr_end=next_state.t_fr_c,

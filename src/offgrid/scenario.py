@@ -2,10 +2,12 @@
 
 A scenario bundles everything outside the controller's influence: resampled
 weather, the indoor house temperature (from a CSV trace or the built-in daily
-sinusoid), the scheduled secondary-load energy, and the precomputed PV energy
-potential. Both controllers and the plant read the same series, i.e. the
-optimizing controller operates with perfect foresight unless a noise hook is
-installed at run time.
+sinusoid), the scheduled secondary-load energy, and the PV energy potential.
+`build_scenario` is the only place that turns weather into PV energy: the
+plant, the baseline (through `at`) and the optimizing controller's forecasts
+(through `forecast`) all read the one `pv_avail_wh` series, so they see the
+same inputs by construction. The optimizing controller thus operates with
+perfect foresight unless a noise hook is installed at run time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .config import HouseTempParams, SystemConfig
 from .devices import pv_potential
 from .errors import DataError
 from .schedule import build_secondary_profile
-from .weather import WeatherRecord, WeatherSeries
+from .weather import WeatherSeries
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,9 @@ class ForecastWindow:
 class StepExogenous:
     """Exogenous inputs at a single plant step."""
 
-    weather: WeatherRecord
+    timestamp: datetime
+    ghi: float
+    e_pv_wh: float
     t_house_c: float
     e_secondary_wh: float
 
@@ -147,7 +151,9 @@ class Scenario:
 
     def at(self, k: int) -> StepExogenous:
         return StepExogenous(
-            weather=self.weather.row(k),
+            timestamp=self.weather.timestamp(k),
+            ghi=float(self.weather.ghi[k]),
+            e_pv_wh=float(self.pv_avail_wh[k]),
             t_house_c=float(self.t_house[k]),
             e_secondary_wh=float(self.e_secondary[k]),
         )

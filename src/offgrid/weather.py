@@ -30,16 +30,6 @@ REQUIRED_COLUMNS = ("timestamp", "ghi", "air_temperature", "wind_speed")
 
 
 @dataclass(frozen=True)
-class WeatherRecord:
-    """One step of weather driving the PV model."""
-
-    timestamp: datetime
-    ghi: float
-    t_ambient: float
-    wind_speed: float
-
-
-@dataclass(frozen=True)
 class WeatherSeries:
     """Uniformly spaced weather records starting at `start`, spaced `step_hours`."""
 
@@ -72,14 +62,6 @@ class WeatherSeries:
 
     def timestamps(self) -> list[datetime]:
         return [self.timestamp(k) for k in range(len(self))]
-
-    def row(self, k: int) -> WeatherRecord:
-        return WeatherRecord(
-            timestamp=self.timestamp(k),
-            ghi=float(self.ghi[k]),
-            t_ambient=float(self.t_ambient[k]),
-            wind_speed=float(self.wind_speed[k]),
-        )
 
     def require_coverage(self, hours: float) -> None:
         if self.coverage_hours + 1e-9 < hours:

@@ -1,7 +1,7 @@
 """Plant-step physics, shedding, conservation, and closed-loop tests."""
 
 import dataclasses
-from datetime import datetime
+import math
 
 import numpy as np
 import pytest
@@ -20,15 +20,15 @@ from offgrid.plant import (
     run_closed_loop,
 )
 from offgrid.scenario import build_scenario
-from offgrid.weather import WeatherRecord, synthesize_weather
+from offgrid.weather import synthesize_weather
 
 CFG = default_config().replace(horizon_steps=12)
 E_FR = fridge_energy(CFG.fridge, CFG.step_hours)
 
 
-def wx(ghi=0.0, t_ambient=30.0, wind=2.0):
-    return WeatherRecord(timestamp=datetime(2017, 9, 11, 12, 0), ghi=ghi,
-                         t_ambient=t_ambient, wind_speed=wind)
+def pv_wh(ghi=0.0, t_ambient=30.0, wind=2.0, config=CFG):
+    """PV energy of one step under this weather, as build_scenario computes it."""
+    return pv_potential(config.pv, ghi, t_ambient, wind, config.step_hours)
 
 
 def cmd_gamma(u_fr=0, u_s=0, gamma=0.0):
@@ -47,7 +47,7 @@ def assert_flow_identities(flows):
 class TestPlantStep:
     def test_full_battery_cannot_charge(self):
         state = PlantState(e_bat_wh=CFG.battery.e_max_wh, t_fr_c=2.0)
-        nxt, flows, fr, s = plant_step(state, cmd_gamma(gamma=1.0), wx(ghi=900.0),
+        nxt, flows, fr, s = plant_step(state, cmd_gamma(gamma=1.0), pv_wh(ghi=900.0),
                                        25.0, 0.0, CFG)
         assert flows.e_charge == 0.0
         assert nxt.e_bat_wh == CFG.battery.e_max_wh
@@ -56,8 +56,8 @@ class TestPlantStep:
     def test_big_surplus_charge_capped_at_rate(self):
         big_pv = CFG.replace(pv=dataclasses.replace(CFG.pv, n_panels=30))
         state = PlantState(e_bat_wh=2000.0, t_fr_c=2.0)
-        nxt, flows, fr, s = plant_step(state, cmd_gamma(gamma=1.0), wx(ghi=900.0),
-                                       25.0, 0.0, big_pv)
+        nxt, flows, fr, s = plant_step(state, cmd_gamma(gamma=1.0),
+                                       pv_wh(ghi=900.0, config=big_pv), 25.0, 0.0, big_pv)
         assert flows.e_charge == pytest.approx(big_pv.battery.e_charge_max_wh)  # 810
         assert flows.e_pv_unused > 0
         assert_flow_identities(flows)
@@ -65,14 +65,14 @@ class TestPlantStep:
     def test_fast_mode_doubles_the_cap(self):
         big_pv = CFG.replace(pv=dataclasses.replace(CFG.pv, n_panels=60))
         state = PlantState(e_bat_wh=1500.0, t_fr_c=2.0)
-        nxt, flows, _, _ = plant_step(state, cmd_gamma(gamma=1.5), wx(ghi=900.0),
-                                      25.0, 0.0, big_pv)
+        nxt, flows, _, _ = plant_step(state, cmd_gamma(gamma=1.5),
+                                      pv_wh(ghi=900.0, config=big_pv), 25.0, 0.0, big_pv)
         assert flows.e_charge == pytest.approx(2 * big_pv.battery.e_charge_max_wh)
 
     def test_night_discharge_covers_fridge(self):
         state = PlantState(e_bat_wh=3000.0, t_fr_c=4.0)
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=1, gamma=-0.0515),
-                                       wx(ghi=0.0), 25.0, 0.0, CFG)
+                                       pv_wh(ghi=0.0), 25.0, 0.0, CFG)
         assert fr == 1
         assert flows.e_discharge == pytest.approx(E_FR / CFG.inverter_efficiency)
         assert flows.e_discharge == pytest.approx(46.296, abs=1e-3)
@@ -83,7 +83,7 @@ class TestPlantStep:
         p = CFG.battery
         state = PlantState(e_bat_wh=p.e_min_wh + 60.0, t_fr_c=4.0)  # 54 Wh deliverable
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=1, u_s=1, gamma=-0.2),
-                                       wx(ghi=0.0), 25.0, 51.333, CFG)
+                                       pv_wh(ghi=0.0), 25.0, 51.333, CFG)
         assert (fr, s) == (1, 0)
         assert flows.unserved_s == pytest.approx(51.333)
         assert flows.unserved_fr == 0.0
@@ -92,7 +92,7 @@ class TestPlantStep:
     def test_shedding_total_when_battery_floored(self):
         state = PlantState(e_bat_wh=CFG.battery.e_min_wh, t_fr_c=4.0)
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=1, u_s=1, gamma=-0.2),
-                                       wx(ghi=0.0), 25.0, 51.333, CFG)
+                                       pv_wh(ghi=0.0), 25.0, 51.333, CFG)
         assert (fr, s) == (0, 0)
         assert flows.unserved_fr == pytest.approx(E_FR)
         assert nxt.e_bat_wh == CFG.battery.e_min_wh
@@ -102,7 +102,7 @@ class TestPlantStep:
         p = CFG.battery
         state = PlantState(e_bat_wh=p.e_min_wh + 40.0, t_fr_c=4.0)  # 36 Wh deliverable
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=1, gamma=-0.5),
-                                       wx(ghi=0.0), 25.0, 0.0, CFG)
+                                       pv_wh(ghi=0.0), 25.0, 0.0, CFG)
         assert (fr, s) == (0, 0)  # 46.3 Wh needed > 36 deliverable
         assert nxt.e_bat_wh >= p.e_min_wh - 1e-9
 
@@ -112,7 +112,7 @@ class TestPlantStep:
         # set by the power flow, not by the commanded flag)
         state = PlantState(e_bat_wh=3000.0, t_fr_c=4.0)
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=1, gamma=0.5),
-                                       wx(ghi=0.0), 25.0, 0.0, CFG)
+                                       pv_wh(ghi=0.0), 25.0, 0.0, CFG)
         assert flows.e_charge == 0.0
         assert flows.e_discharge == pytest.approx(E_FR / CFG.inverter_efficiency)
         assert (fr, s) == (1, 0)
@@ -120,7 +120,7 @@ class TestPlantStep:
     def test_requested_vs_applied_bookkeeping(self):
         state = PlantState(e_bat_wh=CFG.battery.e_min_wh, t_fr_c=4.0)
         nxt, flows, fr, s = plant_step(state, cmd_gamma(u_fr=0, u_s=0),
-                                       wx(ghi=0.0), 25.0, 51.333, CFG,
+                                       pv_wh(ghi=0.0), 25.0, 51.333, CFG,
                                        requested=(1, 1))
         assert flows.unserved_fr == pytest.approx(E_FR)
         assert flows.unserved_s == pytest.approx(51.333)
@@ -140,7 +140,7 @@ class TestPlantStep:
                                                      u_fr, u_s, gamma, e_s):
         state = PlantState(e_bat_wh=e_bat, t_fr_c=3.0)
         command = cmd_gamma(u_fr=u_fr, u_s=u_s, gamma=gamma)
-        nxt, flows, fr, s = plant_step(state, command, wx(ghi, t_amb, wind),
+        nxt, flows, fr, s = plant_step(state, command, pv_wh(ghi, t_amb, wind),
                                        25.0, e_s, CFG)
         assert_flow_identities(flows)
         assert CFG.battery.e_min_wh - 1e-9 <= nxt.e_bat_wh <= CFG.battery.e_max_wh + 1e-9
@@ -169,24 +169,35 @@ class TestClosedLoop:
         cfg = default_config().replace(horizon_steps=6)
         scenario = build_scenario(synthesize_weather(2, "post-storm", seed=1), cfg, days=1)
         trace = run_closed_loop("baseline", scenario, cfg)
-        for r in trace.records:
+        for k, r in enumerate(trace.records):
+            assert r.e_pv == scenario.pv_avail_wh[k]  # the plant reads the scenario's PV
             assert r.e_pv == pytest.approx(
                 min(r.e_pv, r.e_hl) + r.e_c + (r.e_pv - r.e_pv_used), abs=1e-9)
             assert cfg.battery.e_min_wh - 1e-9 <= r.e_bat_end <= cfg.battery.e_max_wh + 1e-9
 
     def test_trace_csv_round_trip(self, tmp_path):
+        """Every StepRecord field survives to_csv/read_trace_csv, for a baseline
+        trace and a proposed one with its solver columns filled."""
         cfg = default_config().replace(horizon_steps=6)
-        scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=0.25)
-        trace = run_closed_loop("baseline", scenario, cfg)
-        path = tmp_path / "trace.csv"
-        trace.to_csv(path)
-        again = read_trace_csv(path)
-        assert len(again) == len(trace)
-        for a, b in zip(trace.records, again.records):
-            assert a.timestamp == b.timestamp
-            assert a.e_bat == pytest.approx(b.e_bat, rel=1e-9)
-            assert a.t_fr_end == pytest.approx(b.t_fr_end, rel=1e-9)
-            assert (a.u_fr_applied, a.u_s_applied) == (b.u_fr_applied, b.u_s_applied)
+        weather = synthesize_weather(1, "clear", seed=0)
+        baseline = run_closed_loop("baseline", build_scenario(weather, cfg, days=0.25), cfg)
+        proposed = run_closed_loop("proposed", build_scenario(weather, cfg, days=1 / 24), cfg)
+        assert all(r.solver_status and r.solver_wall_s > 0 for r in proposed.records)
+        for trace in (baseline, proposed):
+            path = tmp_path / f"{trace.controller}.csv"
+            trace.to_csv(path)
+            again = read_trace_csv(path)
+            assert len(again) == len(trace)
+            for a, b in zip(trace.records, again.records):
+                for f in dataclasses.fields(a):
+                    x, y = getattr(a, f.name), getattr(b, f.name)
+                    assert type(x) is type(y), f.name
+                    if isinstance(x, float) and math.isnan(x):
+                        assert math.isnan(y), f.name
+                    elif isinstance(x, float):
+                        assert y == pytest.approx(x, rel=1e-9), f.name
+                    else:
+                        assert x == y, f.name
 
     def test_metrics_additivity_over_days(self):
         cfg = default_config().replace(horizon_steps=6)
@@ -256,7 +267,7 @@ class TestMatchedModelTracking:
             predicted_t = controller.last_plan.predicted_t_fr[0]
             exo = scenario.at(k)
             state, flows, fr, s = plant_step(
-                state, decision.command, exo.weather, exo.t_house_c,
+                state, decision.command, exo.e_pv_wh, exo.t_house_c,
                 exo.e_secondary_wh, cfg,
                 requested=(decision.requested_u_fr, decision.requested_u_s))
             assert state.t_fr_c == pytest.approx(predicted_t, abs=1e-6)

@@ -78,9 +78,9 @@ class TestBuildScenario:
         weather = synthesize_weather(1, "clear", seed=0)
         scenario = build_scenario(weather, CFG, days=1)
         k = 72  # noon
-        row = scenario.weather.row(k)
-        expected = pv_potential(CFG.pv, row.ghi, row.t_ambient, row.wind_speed,
-                                CFG.step_hours)
+        wx = scenario.weather
+        expected = pv_potential(CFG.pv, float(wx.ghi[k]), float(wx.t_ambient[k]),
+                                float(wx.wind_speed[k]), CFG.step_hours)
         assert scenario.pv_avail_wh[k] == pytest.approx(expected)
 
     def test_forecast_noise_hook_defaults_off(self):
