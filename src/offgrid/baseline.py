@@ -19,7 +19,7 @@ from .mpc import ControlCommand
 
 if TYPE_CHECKING:
     from .plant import PlantState
-    from .scenario import StepExogenous
+    from .scenario import Scenario
 
 FEAS_EPS = 1e-9
 
@@ -98,16 +98,16 @@ class BaselineController:
         self.state = BaselineState()
         self._e_fr = fridge_energy(config.fridge, config.step_hours)
 
-    def decide(self, state: "PlantState", scenario, k: int):
+    def decide(self, state: "PlantState", scenario: "Scenario", k: int):
         from .plant import ControllerDecision
 
-        exo = scenario.at(k)
+        e_secondary = float(scenario.e_secondary[k])
         f = self.config.fridge
         u_req = deadband_fridge(self.state, state.t_fr_c, f.t_min_c, f.t_max_c)
         fr, s, c, d = baseline_dispatch(
-            e_pv=exo.e_pv_wh,
+            e_pv=float(scenario.pv_avail_wh[k]),
             demand_fr=u_req * self._e_fr,
-            demand_s=exo.e_secondary_wh,
+            demand_s=e_secondary,
             e_bat=state.e_bat_wh,
             params=self.config.battery,
             eta_inv=self.config.inverter_efficiency,
@@ -117,5 +117,5 @@ class BaselineController:
         return ControllerDecision(
             command=cmd,
             requested_u_fr=u_req,
-            requested_u_s=1 if exo.e_secondary_wh > 0 else 0,
+            requested_u_s=1 if e_secondary > 0 else 0,
         )

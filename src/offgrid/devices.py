@@ -8,6 +8,7 @@ pins that choice.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -87,6 +88,7 @@ class FridgeDiscretization:
             raise ValueError("b must be negative (compressor cools)")
 
 
+@functools.lru_cache(maxsize=32)  # pure in frozen params; the plant asks once per step
 def fridge_discretize(params: FridgeParams, step_hours: float) -> FridgeDiscretization:
     """Discrete one-step constants of the continuous RC model dT/dt = Ac*T + Bc*u*Q + Dc*T_house.
 

@@ -25,21 +25,20 @@ import numpy as np
 
 from ..errors import MilpError
 from .model import MilpModel, check_solution
-from .simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp_std
+from .simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, solve_lp_std
 
 GAP_DENOM_FLOOR = 1e-10
 HEURISTIC_INTERVAL = 25
+INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Termination limits and tolerances for solve_milp."""
+    """Termination limits for solve_milp."""
 
     rel_gap_limit: float = 0.01
     time_limit: float = 300.0
     node_limit: int | None = None
-    feasibility_tol: float = 1e-7
-    integrality_tol: float = 1e-6
 
     def __post_init__(self):
         if self.rel_gap_limit <= 0:
@@ -48,8 +47,6 @@ class SolverOptions:
             raise MilpError("time_limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise MilpError("node_limit must be positive")
-        if self.feasibility_tol <= 0 or self.integrality_tol <= 0:
-            raise MilpError("tolerances must be positive")
 
 
 @dataclass
@@ -90,7 +87,6 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
     t0 = time.perf_counter()
     std = model.standard_form()
     bin_idx = model.binary_indices()
-    int_tol = options.integrality_tol
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -101,7 +97,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
             candidates = list(initial_solution)
         for cand in candidates:
             cand = np.asarray(cand, dtype=float)
-            if check_solution(model, cand, options.feasibility_tol, int_tol):
+            if check_solution(model, cand, FEASIBILITY_TOL, INTEGRALITY_TOL):
                 continue
             obj = float(std.c @ cand)
             if obj < incumbent_obj:
@@ -136,7 +132,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
             message=message,
         )
 
-    root = solve_lp_std(std, std.lb, std.ub, options.feasibility_tol)
+    root = solve_lp_std(std, std.lb, std.ub)
     nodes += 1
     total_iters += root.iterations
     if root.status == INFEASIBLE:
@@ -150,7 +146,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
         if bin_idx.size == 0:
             return True
         vals = x[bin_idx]
-        return bool(np.max(np.abs(vals - np.round(vals)), initial=0.0) <= int_tol)
+        return bool(np.max(np.abs(vals - np.round(vals)), initial=0.0) <= INTEGRALITY_TOL)
 
     def try_incumbent(x: np.ndarray, obj: float) -> None:
         nonlocal incumbent_x, incumbent_obj
@@ -167,7 +163,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
         rounded = np.clip(np.round(x[bin_idx]), lb[bin_idx], ub[bin_idx])
         lo[bin_idx] = rounded
         hi[bin_idx] = rounded
-        res = solve_lp_std(std, lo, hi, options.feasibility_tol)
+        res = solve_lp_std(std, lo, hi)
         total_iters += res.iterations
         if res.status == OPTIMAL:
             try_incumbent(res.x, res.objective)
@@ -211,7 +207,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
             lo, hi = lb.copy(), ub.copy()
             lo[j] = fix
             hi[j] = fix
-            res = solve_lp_std(std, lo, hi, options.feasibility_tol)
+            res = solve_lp_std(std, lo, hi)
             nodes += 1
             total_iters += res.iterations
             if res.status == INFEASIBLE:

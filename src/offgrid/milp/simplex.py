@@ -22,6 +22,8 @@ from .model import MilpModel, StandardForm
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
+FEASIBILITY_TOL = 1e-7  # phase-1 infeasibility accepted as feasible
+
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
@@ -48,26 +50,23 @@ class LpResult:
         return self.status == OPTIMAL
 
 
-def solve_lp(model: MilpModel, feasibility_tol: float = 1e-7,
-             max_iter: int | None = None) -> LpResult:
+def solve_lp(model: MilpModel) -> LpResult:
     """Solve the LP relaxation of a model (integrality markers ignored)."""
     std = model.standard_form()
-    return solve_lp_std(std, std.lb, std.ub, feasibility_tol, max_iter)
+    return solve_lp_std(std, std.lb, std.ub)
 
 
-def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
-                 feasibility_tol: float = 1e-7, max_iter: int | None = None) -> LpResult:
+def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
     """Solve with explicit variable bounds (used by branch-and-bound nodes)."""
     iterations = 0
     try:
-        engine = _BoundedSimplex(std, lb, ub, feasibility_tol, max_iter)
+        engine = _BoundedSimplex(std, lb, ub)
         return engine.solve()
     except _Trouble as exc:
         iterations = getattr(exc, "iterations", 0)
     # Deterministic retry: Bland from the start, refactor on every pivot.
     try:
-        engine = _BoundedSimplex(std, lb, ub, feasibility_tol, max_iter,
-                                 bland=True, refactor_every=1)
+        engine = _BoundedSimplex(std, lb, ub, bland=True, refactor_every=1)
         result = engine.solve()
         result.iterations += iterations
         return result
@@ -82,15 +81,13 @@ class _BoundedSimplex:
     DEGEN_LIMIT = 40
 
     def __init__(self, std: StandardForm, lb: np.ndarray, ub: np.ndarray,
-                 feas_tol: float, max_iter: int | None,
                  bland: bool = False, refactor_every: int = 32):
         self.std = std
         self.m, self.n = std.m, std.n
         self.nt = self.n + 2 * self.m
         self.A = std.a_ext
         self.b = std.b
-        self.feas_tol = feas_tol
-        self.max_iter = max_iter if max_iter is not None else 10_000 + 20 * self.nt
+        self.max_iter = 10_000 + 20 * self.nt
         self.bland_base = bland
         self.bland = bland
         self.refactor_every = refactor_every
@@ -276,7 +273,7 @@ class _BoundedSimplex:
         if self._needs_phase1:
             self._iterate(self.phase1_cost, phase=1)
             infeas = float(self.phase1_cost @ self.x)
-            if infeas > self.feas_tol:
+            if infeas > FEASIBILITY_TOL:
                 return LpResult(INFEASIBLE, None, math.nan, None, self.iterations,
                                 f"phase-1 infeasibility {infeas:.3e}")
             arts = slice(self.n + self.m, self.nt)
@@ -305,10 +302,10 @@ class _BoundedSimplex:
 
     def _verify(self) -> None:
         resid = self.A @ self.x - self.b
-        if resid.size and np.max(np.abs(resid)) > self.feas_tol * 10:
+        if resid.size and np.max(np.abs(resid)) > FEASIBILITY_TOL * 10:
             raise self._trouble(f"row residual {np.max(np.abs(resid)):.3e} after solve")
         below = self.lb - self.x
         above = self.x - self.ub
         worst = max(below.max(initial=0.0), above.max(initial=0.0))
-        if worst > self.feas_tol * 10:
+        if worst > FEASIBILITY_TOL * 10:
             raise self._trouble(f"bound violation {worst:.3e} after solve")

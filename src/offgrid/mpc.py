@@ -36,6 +36,7 @@ from .config import SystemConfig
 from .devices import FridgeDiscretization, fridge_discretize, fridge_energy
 from .errors import InfeasiblePlanError, MilpError
 from .milp import MilpModel, MilpSolution, SolverOptions, check_solution, solve_milp
+from .milp.branch_bound import FEASIBILITY_TOL, INTEGRALITY_TOL
 from .scenario import ForecastWindow
 
 if TYPE_CHECKING:  # runtime import would be circular (plant imports controllers)
@@ -384,8 +385,7 @@ def plan(state: "PlantState", forecast: ForecastWindow, config: SystemConfig,
         )
 
     values = solution.values
-    violations = check_solution(model, values, options.feasibility_tol * 10,
-                                options.integrality_tol * 10)
+    violations = check_solution(model, values, FEASIBILITY_TOL * 10, INTEGRALITY_TOL * 10)
     if violations:
         raise MilpError(f"incumbent failed the feasibility audit: {violations[:3]}")
 

@@ -13,7 +13,8 @@ Conservation identities maintained every step (audited by the test suite):
 and the battery never leaves [e_min, e_max].
 
 The trace CSV has one column per StepRecord field, in field order; each
-column's text format and parser follow from the field's type.
+column's text format and parser follow from the field's type, and it is read
+back through the table reader every input file shares (`offgrid.csvtable`).
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ from pathlib import Path
 from typing import Literal, get_type_hints
 
 from .config import SystemConfig
+from .csvtable import parse_timestamp, read_table
 from .devices import battery_step, fridge_discretize, fridge_energy, fridge_step
-from .errors import DataError, OffgridError
+from .errors import OffgridError
 from .milp import MilpSolution, SolverOptions
 from .mpc import ControlCommand, MpcController
 from .scenario import Scenario
@@ -108,14 +110,15 @@ class StepRecord:
 TRACE_COLUMNS = [f.name for f in fields(StepRecord)]
 
 # Field type -> (format spec for to_csv, parser for read_trace_csv). An empty
-# spec writes str(value); a datetime then reads back with fromisoformat.
+# spec writes str(value); a datetime then reads back as an ISO-8601 timestamp.
 _CSV_CODECS = {
-    datetime: ("", datetime.fromisoformat),
+    datetime: ("", parse_timestamp),
     float: (".10g", float),
     int: ("", int),
     str: ("", str),
 }
 _FIELD_CODECS = [_CSV_CODECS[t] for t in get_type_hints(StepRecord).values()]
+_TRACE_PARSERS = {name: parse for name, (_, parse) in zip(TRACE_COLUMNS, _FIELD_CODECS)}
 _record_values = operator.attrgetter(*TRACE_COLUMNS)
 
 
@@ -151,23 +154,7 @@ class SimulationTrace:
 def read_trace_csv(path: str | Path, step_hours: float | None = None,
                    controller: str = "") -> SimulationTrace:
     """Re-read a trace written by SimulationTrace.to_csv."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"trace file not found: {path}")
-    records: list[StepRecord] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = set(TRACE_COLUMNS) - set(header)
-        if missing:
-            raise DataError(f"{path}: missing trace columns {sorted(missing)}")
-        columns = [(header.index(name), parse)
-                   for name, (_, parse) in zip(TRACE_COLUMNS, _FIELD_CODECS)]
-        for row in reader:
-            if row:
-                records.append(StepRecord(*[parse(row[i]) for i, parse in columns]))
-    if not records:
-        raise DataError(f"{path}: empty trace")
+    records = [StepRecord(*values) for values in read_table(path, _TRACE_PARSERS)]
     if step_hours is None:
         if len(records) > 1:
             step_hours = (records[1].timestamp - records[0].timestamp).total_seconds() / 3600.0
@@ -269,7 +256,6 @@ def run_closed_loop(
     options: SolverOptions | None = None,
     initial_state: PlantState | None = None,
     forecast_noise=None,
-    progress=None,
 ) -> SimulationTrace:
     """Simulate the plant under a controller for the scenario's window.
 
@@ -326,6 +312,4 @@ def run_closed_loop(
         rec.fallback = 1 if decision.fallback else 0
         records.append(rec)
         state = next_state
-        if progress is not None:
-            progress(k, scenario.n_steps, rec)
     return SimulationTrace(records=records, step_hours=config.step_hours, controller=name)

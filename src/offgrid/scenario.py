@@ -4,7 +4,7 @@ A scenario bundles everything outside the controller's influence: resampled
 weather, the indoor house temperature (from a CSV trace or the built-in daily
 sinusoid), the scheduled secondary-load energy, and the PV energy potential.
 `build_scenario` is the only place that turns weather into PV energy: the
-plant, the baseline (through `at`) and the optimizing controller's forecasts
+plant (through `at`), the baseline and the optimizing controller's forecasts
 (through `forecast`) all read the one `pv_avail_wh` series, so they see the
 same inputs by construction. The optimizing controller thus operates with
 perfect foresight unless a noise hook is installed at run time.
@@ -12,7 +12,6 @@ perfect foresight unless a noise hook is installed at run time.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -21,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import HouseTempParams, SystemConfig
+from .csvtable import parse_finite, parse_timestamp, read_table
 from .devices import pv_potential
 from .errors import DataError
 from .schedule import build_secondary_profile
@@ -55,38 +55,8 @@ def sinusoid_house_temperature(grid: list[datetime], params: HouseTempParams) ->
 
 def load_house_trace_csv(path: str | Path, step_hours: float) -> HouseTemperatureTrace:
     """Read a (timestamp, temperature) CSV and interpolate onto the control step."""
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"house temperature file not found: {path}")
-    times: list[datetime] = []
-    temps: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: no records") from None
-        names = [h.strip().lower() for h in header]
-        for col in ("timestamp", "temperature"):
-            if col not in names:
-                raise DataError(f"{path}: missing column {col!r}")
-        ti, vi = names.index("timestamp"), names.index("temperature")
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            try:
-                ts = datetime.fromisoformat(row[ti].strip())
-                v = float(row[vi])
-            except ValueError:
-                raise DataError(f"unparsable row at line {line_no}") from None
-            if not math.isfinite(v):
-                raise DataError(f"non-finite temperature at line {line_no}")
-            if times and ts <= times[-1]:
-                raise DataError(f"non-monotonic timestamp at line {line_no}")
-            times.append(ts)
-            temps.append(v)
-    if not times:
-        raise DataError(f"{path}: no records")
+    times, temps = zip(*read_table(path, {"timestamp": parse_timestamp,
+                                          "temperature": parse_finite}))
     t0 = times[0]
     src_h = np.array([(t - t0).total_seconds() / 3600.0 for t in times])
     n = int(math.floor(src_h[-1] / step_hours)) + 1

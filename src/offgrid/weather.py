@@ -1,10 +1,10 @@
 """Weather ingestion, resampling onto the control grid, and synthetic profiles.
 
-CSV format: a header row with columns (case-insensitive) `timestamp`
-(ISO-8601, local time), `ghi` (W/m2), `air_temperature` (degC) and
-`wind_speed` (m/s), in any order. Records must be uniformly spaced and
-strictly increasing; the spacing must be an integer divisor or multiple of
-the simulation step.
+CSV format: a table in the shared format of `offgrid.csvtable` with columns
+`timestamp` (ISO-8601, local time), `ghi` (W/m2, >= 0), `air_temperature`
+(degC) and `wind_speed` (m/s, >= 0), all finite. Records must be uniformly
+spaced; the spacing must be an integer divisor or multiple of the simulation
+step.
 
 A record stamped t describes the interval [t, t + step): GHI is the mean
 irradiance over that interval, which is what makes block-averaging on
@@ -15,19 +15,16 @@ from __future__ import annotations
 
 import csv
 import logging
-import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
 
 import numpy as np
 
+from .csvtable import parse_finite, parse_timestamp, read_table
 from .errors import DataError
 
 log = logging.getLogger(__name__)
-
-REQUIRED_COLUMNS = ("timestamp", "ghi", "air_temperature", "wind_speed")
-
 
 @dataclass(frozen=True)
 class WeatherSeries:
@@ -91,14 +88,21 @@ class WeatherSeries:
                              np.array(wnd[:n_steps]))
 
 
-def _parse_float(text: str, column: str, line_no: int) -> float:
-    try:
-        value = float(text)
-    except (TypeError, ValueError):
-        raise DataError(f"unparsable {column} {text!r} at line {line_no}") from None
-    if not math.isfinite(value):
-        raise DataError(f"non-finite {column} at line {line_no}")
-    return value
+def _non_negative(what: str):
+    def parse(text: str) -> float:
+        value = parse_finite(text)
+        if value < 0:
+            raise ValueError(f"negative {what}")
+        return value
+    return parse
+
+
+_PARSERS = {
+    "timestamp": parse_timestamp,
+    "ghi": _non_negative("irradiance"),
+    "wind_speed": _non_negative("wind speed"),
+    "air_temperature": parse_finite,
+}
 
 
 def parse_weather_csv(path: str | Path, step_hours: float) -> WeatherSeries:
@@ -107,54 +111,10 @@ def parse_weather_csv(path: str | Path, step_hours: float) -> WeatherSeries:
     Irradiance is resampled conservatively (block mean going down, sample-hold
     going up); temperature and wind speed are linearly interpolated.
     """
-    path = Path(path)
-    if not path.exists():
-        raise DataError(f"weather file not found: {path}")
     if step_hours <= 0:
         raise DataError("step_hours must be > 0")
-
-    timestamps: list[datetime] = []
-    ghi: list[float] = []
-    t_amb: list[float] = []
-    wind: list[float] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: no records") from None
-        names = [h.strip().lower() for h in header]
-        missing = [c for c in REQUIRED_COLUMNS if c not in names]
-        if missing:
-            raise DataError(f"{path}: missing column(s) {missing}; found {names}")
-        idx = {c: names.index(c) for c in REQUIRED_COLUMNS}
-        for line_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) < len(names):
-                raise DataError(f"short row at line {line_no}")
-            try:
-                ts = datetime.fromisoformat(row[idx["timestamp"]].strip())
-            except ValueError:
-                raise DataError(
-                    f"unparsable timestamp {row[idx['timestamp']]!r} at line {line_no}"
-                ) from None
-            g = _parse_float(row[idx["ghi"]], "ghi", line_no)
-            if g < 0:
-                raise DataError(f"negative irradiance at line {line_no}")
-            w = _parse_float(row[idx["wind_speed"]], "wind_speed", line_no)
-            if w < 0:
-                raise DataError(f"negative wind speed at line {line_no}")
-            t = _parse_float(row[idx["air_temperature"]], "air_temperature", line_no)
-            if timestamps and ts <= timestamps[-1]:
-                raise DataError(f"non-monotonic timestamp at line {line_no}")
-            timestamps.append(ts)
-            ghi.append(g)
-            t_amb.append(t)
-            wind.append(w)
-
-    if not timestamps:
-        raise DataError(f"{path}: no records")
+    path = Path(path)
+    timestamps, ghi, wind, t_amb = zip(*read_table(path, _PARSERS))
     if len(timestamps) == 1:
         raise DataError(f"{path}: need at least two records to infer the source step")
 
@@ -162,7 +122,7 @@ def parse_weather_csv(path: str | Path, step_hours: float) -> WeatherSeries:
     src_step_s = deltas[0]
     if np.any(np.abs(deltas - src_step_s) > 0.5):
         bad = int(np.argmax(np.abs(deltas - src_step_s))) + 3  # +2 header/base, +1 diff offset
-        raise DataError(f"non-uniform timestamp spacing near line {bad}")
+        raise DataError(f"{path}: non-uniform timestamp spacing near line {bad}")
     src_step_h = src_step_s / 3600.0
 
     series = WeatherSeries(

@@ -73,6 +73,16 @@ class TestSimulate:
         assert code == 1
         assert "nope.csv" in capsys.readouterr().err
 
+    def test_truncated_house_trace_fails_with_message(self, tmp_path, capsys):
+        house = tmp_path / "house.csv"
+        house.write_text("timestamp,temperature\n2017-09-11 00:00,20.0\n2017-09-11 01:00\n")
+        code = run("--out", tmp_path / "runh", "simulate", "--controller", "baseline",
+                   "--days", "0.5", "--profile", "clear", "--house-temp", house)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "house.csv: short row at line 3" in err
+        assert "Traceback" not in err
+
     def test_synthetic_fallback_when_no_weather_given(self, tmp_path):
         out = tmp_path / "runs"
         code = run("--out", out, "simulate", "--controller", "baseline",

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from offgrid.config import default_config
 from offgrid.devices import fridge_energy, pv_potential
+from offgrid.errors import DataError
 from offgrid.metrics import compute_metrics
 from offgrid.mpc import ControlCommand
 from offgrid.plant import (
@@ -219,6 +220,43 @@ class TestClosedLoop:
         m = compute_metrics(trace, (cfg.fridge.t_min_c, cfg.fridge.t_max_c))
         assert m.temp_violation_hours_per_day == 0.0
         assert m.primary_unserved_hours_per_day == 0.0
+
+
+class TestTraceCsvErrors:
+    """A malformed trace row raises DataError naming the file and the line
+    (the header is line 1, so the six records are lines 2-7)."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path):
+        cfg = default_config().replace(horizon_steps=6)
+        scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=1 / 24)
+        path = tmp_path / "trace.csv"
+        run_closed_loop("baseline", scenario, cfg).to_csv(path)
+        return path.read_text().splitlines()
+
+    @staticmethod
+    def write(tmp_path, lines):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_truncated_last_row(self, tmp_path, lines):
+        lines[-1] = lines[-1][:40]
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DataError, match=r"bad\.csv: short row at line 7"):
+            read_trace_csv(path)
+
+    def test_unparsable_timestamp(self, tmp_path, lines):
+        lines[3] = "not-a-time" + lines[3][lines[3].index(","):]
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DataError, match=r"bad\.csv: .* at line 4, column timestamp"):
+            read_trace_csv(path)
+
+    def test_non_increasing_timestamps(self, tmp_path, lines):
+        lines[2], lines[3] = lines[3], lines[2]
+        path = self.write(tmp_path, lines)
+        with pytest.raises(DataError, match=r"bad\.csv: non-monotonic timestamp at line 4"):
+            read_trace_csv(path)
 
 
 class TestForecastNoiseHook:

@@ -45,6 +45,12 @@ class TestHouseTemperature:
             load_house_trace_csv(path, 1.0 / 6.0)
 
 
+    def test_trace_rejects_short_row(self, tmp_path):
+        path = tmp_path / "house.csv"
+        path.write_text("timestamp,temperature\n2017-09-11 00:00,20.0\n2017-09-11 01:00\n")
+        with pytest.raises(DataError, match=r"house\.csv: short row at line 3"):
+            load_house_trace_csv(path, 1.0 / 6.0)
+
 class TestForecastWindow:
     def test_lengths_must_match(self):
         with pytest.raises(DataError):
