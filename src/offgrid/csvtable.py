@@ -35,8 +35,10 @@ def parse_finite(text: str) -> float:
     return value
 
 
-def read_table(path: str | Path, parsers: dict[str, Callable[[str], Any]]) -> Iterator[list]:
-    """Yield each record as the list of its parsed values, in `parsers` order.
+def read_table(path: str | Path,
+               parsers: dict[str, Callable[[str], Any]]) -> Iterator[tuple[int, list]]:
+    """Yield each record as (line number, list of its parsed values in
+    `parsers` order), so that checks made after reading can name the line.
 
     `parsers` maps column names (lower case) to parsers and must include
     `timestamp`, whose parser returns a datetime.
@@ -73,7 +75,7 @@ def read_table(path: str | Path, parsers: dict[str, Callable[[str], Any]]) -> It
             if prev is not None and ts <= prev:
                 raise DataError(f"{path}: non-monotonic timestamp at line {line_no}")
             prev = ts
-            yield values
+            yield line_no, values
     if prev is None:
         raise DataError(f"{path}: no records")
 

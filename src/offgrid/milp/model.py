@@ -2,8 +2,10 @@
 
 Variables carry bounds and an optional binary marker; constraints are sparse
 rows with a relation and right-hand side; the objective is always
-minimization. `standard_form()` materializes cached dense arrays for the
-solver; treat a model as immutable once handed to a solver.
+minimization. `standard_form()` builds and caches the solver's view: the
+constraint matrix in compressed sparse column form (with its transpose for
+pricing) plus a dense copy that test oracles index; treat a model as immutable
+once handed to a solver.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 
 from ..errors import MilpError
 
@@ -37,17 +40,21 @@ class Violation:
 
 @dataclass
 class StandardForm:
-    """Dense arrays of the model plus the extended matrix [A | I_slack | I_art]."""
+    """Arrays of the model: the constraint matrix A as CSC (`a_csc`), its
+    transpose as CSR (`a_t`) and densely (`a`). Each row gets one slack whose
+    bounds encode the relation; slack and artificial columns are identity
+    columns, so the solver keeps them implicit."""
 
     c: np.ndarray
     a: np.ndarray
+    a_csc: csc_matrix
+    a_t: csr_matrix
     relations: list[str]
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
     names: list[str]
-    a_ext: np.ndarray
     slack_lb: np.ndarray
     slack_ub: np.ndarray
 
@@ -154,14 +161,17 @@ class MilpModel:
         c = np.zeros(n)
         for j, v in self._obj.items():
             c[j] = v
-        a = np.zeros((m, n))
         b = np.zeros(m)
         relations: list[str] = []
         slack_lb = np.zeros(m)
         slack_ub = np.zeros(m)
+        rows: list[int] = []
+        cols: list[int] = []
+        vals: list[float] = []
         for i, (coeffs, rel, rhs, _nm) in enumerate(self._rows):
-            for j, v in coeffs.items():
-                a[i, j] = v
+            rows.extend([i] * len(coeffs))
+            cols.extend(coeffs)
+            vals.extend(coeffs.values())
             b[i] = rhs
             relations.append(rel)
             if rel == LE:
@@ -170,13 +180,18 @@ class MilpModel:
                 slack_lb[i], slack_ub[i] = -math.inf, 0.0
             else:
                 slack_lb[i], slack_ub[i] = 0.0, 0.0
-        a_ext = np.hstack([a, np.eye(m), np.eye(m)]) if m else np.zeros((0, n))
+        # Row dicts hold no duplicate or zero entries, so the CSC has exactly
+        # the model's nonzeros, with sorted row indices in each column.
+        a_csc = csc_matrix((np.array(vals, dtype=float),
+                            (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+                           shape=(m, n))
         self._std = StandardForm(
-            c=c, a=a, relations=relations, b=b,
+            c=c, a=a_csc.toarray(), a_csc=a_csc, a_t=a_csc.T,
+            relations=relations, b=b,
             lb=np.array(self._lb), ub=np.array(self._ub),
             is_binary=np.array(self._binary, dtype=bool),
             names=list(self._names),
-            a_ext=a_ext, slack_lb=slack_lb, slack_ub=slack_ub,
+            slack_lb=slack_lb, slack_ub=slack_ub,
         )
         return self._std
 
@@ -222,26 +237,18 @@ def check_solution(model: MilpModel, values: np.ndarray, tol: float = 1e-7,
         )
     std = model.standard_form()
     out: list[Violation] = []
-    for j in range(std.n):
-        below = std.lb[j] - values[j]
-        above = values[j] - std.ub[j]
-        excess = max(below, above)
-        if excess > tol:
-            out.append(Violation("bound", std.names[j], j, float(excess)))
+    bound_excess = np.maximum(std.lb - values, values - std.ub)
+    # NaN excess (a NaN or infinite value) is never within bounds
+    for j in np.flatnonzero(~(bound_excess <= tol)):
+        out.append(Violation("bound", std.names[j], int(j), float(bound_excess[j])))
     if std.m:
-        lhs = std.a @ values
-        for i, rel in enumerate(std.relations):
-            resid = lhs[i] - std.b[i]
-            if rel == LE:
-                excess = resid
-            elif rel == GE:
-                excess = -resid
-            else:
-                excess = abs(resid)
-            if excess > tol:
-                out.append(Violation("row", model._rows[i][3], i, float(excess)))
-    for j in model.binary_indices():
-        frac = abs(values[j] - round(values[j]))
-        if frac > integrality_tol:
-            out.append(Violation("integrality", std.names[j], int(j), float(frac)))
+        resid = std.a_csc @ values - std.b
+        rel = np.asarray(std.relations)
+        row_excess = np.where(rel == LE, resid, np.where(rel == GE, -resid, np.abs(resid)))
+        for i in np.flatnonzero(row_excess > tol):
+            out.append(Violation("row", model._rows[i][3], int(i), float(row_excess[i])))
+    bins = model.binary_indices()
+    frac = np.abs(values[bins] - np.round(values[bins]))
+    for k in np.flatnonzero(frac > integrality_tol):
+        out.append(Violation("integrality", std.names[bins[k]], int(bins[k]), float(frac[k])))
     return out

@@ -3,8 +3,11 @@
 Rows are turned into equalities with one slack each (bounds encode the
 relation), so variable bounds never become explicit rows. Infeasible starting
 residuals are absorbed by per-row artificial variables driven out in a
-phase-1 minimization. The basis inverse is maintained as an LU factorization
-plus a product-form eta file, refreshed every few dozen pivots.
+phase-1 minimization. Slack and artificial columns are identity columns and
+stay implicit: only the structural matrix is stored, in sparse form. The basis
+inverse is a sparse LU factorization (SuperLU) plus a product-form eta file,
+refreshed every few dozen pivots; the crash basis is the identity, so the
+first factorization waits for the first refresh.
 
 Pivoting is deterministic: Dantzig pricing (largest reduced cost, lowest
 index on ties), switching to Bland's rule after a run of degenerate steps.
@@ -16,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from .model import MilpModel, StandardForm
 
@@ -75,6 +79,15 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
                         iterations + getattr(exc, "iterations", 0), str(exc))
 
 
+class _IdentityFactor:
+    """Factor of the crash basis: every row's slack or artificial, whose
+    columns are the identity, so solving with it is a copy."""
+
+    @staticmethod
+    def solve(v: np.ndarray, trans: str = "N") -> np.ndarray:
+        return v.copy()
+
+
 class _BoundedSimplex:
     DUAL_TOL = 1e-9
     PIV_TOL = 1e-9
@@ -85,7 +98,7 @@ class _BoundedSimplex:
         self.std = std
         self.m, self.n = std.m, std.n
         self.nt = self.n + 2 * self.m
-        self.A = std.a_ext
+        self.A = std.a_csc
         self.b = std.b
         self.max_iter = 10_000 + 20 * self.nt
         self.bland_base = bland
@@ -105,7 +118,7 @@ class _BoundedSimplex:
                                np.where(np.isfinite(self.ub), AT_UB, FREE)).astype(int)
         self.basis = np.zeros(self.m, dtype=int)
         self.phase1_cost = np.zeros(self.nt)
-        self.lu = None
+        self.lu = _IdentityFactor()
         self.etas: list[tuple[int, np.ndarray]] = []
         self._needs_phase1 = False
         self._crash_basis()
@@ -113,11 +126,12 @@ class _BoundedSimplex:
     # -- setup --------------------------------------------------------------
 
     def _crash_basis(self) -> None:
-        """All-slack start; rows a slack cannot absorb get a signed artificial."""
+        """All-slack start; rows a slack cannot absorb get a signed artificial.
+        Either way row i's basic column is the unit column e_i."""
         n, m = self.n, self.m
         if m == 0:
             return
-        r = self.b - self.A[:, :n] @ self.x[:n]
+        r = self.b - self.A @ self.x[:n]
         for i in range(m):
             s = n + i
             absorbed = min(max(r[i], self.lb[s]), self.ub[s])
@@ -140,25 +154,62 @@ class _BoundedSimplex:
                 self.status[a] = BASIC
                 self.basis[i] = a
                 self._needs_phase1 = True
-        self._refactor()
 
     # -- basis inverse maintenance ------------------------------------------
 
+    def _ext_matvec(self, x: np.ndarray) -> np.ndarray:
+        """[A | I | I] @ x over structural, slack and artificial parts."""
+        n, m = self.n, self.m
+        return self.A @ x[:n] + x[n:n + m] + x[n + m:]
+
+    def _column(self, j: int) -> np.ndarray:
+        """Dense copy of column j of [A | I | I]."""
+        col = np.zeros(self.m)
+        if j < self.n:
+            lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
+            col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
+        else:
+            col[(j - self.n) % self.m] = 1.0
+        return col
+
+    def _basis_matrix(self) -> csc_matrix:
+        """The basis columns of [A | I | I], gathered by index into a CSC matrix."""
+        n, m = self.n, self.m
+        indptr = self.A.indptr
+        struct = self.basis < n
+        sb = self.basis[struct]
+        counts = np.ones(m, dtype=np.int64)
+        counts[struct] = indptr[sb + 1] - indptr[sb]
+        ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(counts, out=ptr[1:])
+        # entry p of a structural basis column sb[i] sits at A.indices[indptr[sb[i]] + p - ptr[i]]
+        in_struct = np.repeat(struct, counts)
+        src = np.repeat(indptr[sb] - ptr[:-1][struct], counts[struct]) + np.flatnonzero(in_struct)
+        rows = np.empty(ptr[-1], dtype=np.int64)
+        rows[in_struct] = self.A.indices[src]
+        rows[~in_struct] = (self.basis[~struct] - n) % m
+        vals = np.ones(ptr[-1])
+        vals[in_struct] = self.A.data[src]
+        return csc_matrix((vals, rows, ptr), shape=(m, m))
+
     def _refactor(self) -> None:
-        cols = self.A[:, self.basis]
-        self.lu = lu_factor(cols, check_finite=False)
-        diag = np.abs(np.diag(self.lu[0]))
+        cols = self._basis_matrix()
+        try:
+            self.lu = splu(cols)
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise self._trouble(f"singular basis ({exc})") from None
+        diag = np.abs(self.lu.U.diagonal())
         if diag.size and diag.min() < 1e-12 * max(1.0, diag.max()):
             raise self._trouble("singular basis")
         self.etas = []
-        nonbasic_part = self.A @ self.x - cols @ self.x[self.basis]
-        xb = lu_solve(self.lu, self.b - nonbasic_part, check_finite=False)
+        nonbasic_part = self._ext_matvec(self.x) - cols @ self.x[self.basis]
+        xb = self.lu.solve(self.b - nonbasic_part)
         if not np.all(np.isfinite(xb)):
             raise self._trouble("non-finite basic values")
         self.x[self.basis] = xb
 
     def _ftran(self, v: np.ndarray) -> np.ndarray:
-        z = lu_solve(self.lu, v, check_finite=False)
+        z = self.lu.solve(v)
         for r, w in self.etas:
             zr = z[r] / w[r]
             z = z - w * zr
@@ -170,7 +221,7 @@ class _BoundedSimplex:
         for r, w in reversed(self.etas):
             s = w @ z - w[r] * z[r]
             z[r] = (z[r] - s) / w[r]
-        return lu_solve(self.lu, z, trans=1, check_finite=False)
+        return self.lu.solve(z, trans="T")
 
     def _push_eta(self, r: int, w: np.ndarray) -> None:
         if abs(w[r]) < 1e-11:
@@ -198,7 +249,7 @@ class _BoundedSimplex:
             self.iterations += 1
 
             y = self._btran(c[self.basis])
-            d = c - y @ self.A
+            d = c - np.concatenate([self.std.a_t @ y, y, y])
             movable = (self.lb < self.ub) & (self.status != BASIC)
             elig_lb = movable & (self.status == AT_LB) & (d < -self.DUAL_TOL)
             elig_ub = movable & (self.status == AT_UB) & (d > self.DUAL_TOL)
@@ -216,7 +267,7 @@ class _BoundedSimplex:
             else:
                 sigma = -1.0
 
-            w = self._ftran(self.A[:, j])
+            w = self._ftran(self._column(j))
             delta = -sigma * w
             xb = self.x[self.basis]
             lb_b = self.lb[self.basis]
@@ -301,7 +352,7 @@ class _BoundedSimplex:
         return LpResult(OPTIMAL, x, float(c @ x), np.zeros(0), 0)
 
     def _verify(self) -> None:
-        resid = self.A @ self.x - self.b
+        resid = self._ext_matvec(self.x) - self.b
         if resid.size and np.max(np.abs(resid)) > FEASIBILITY_TOL * 10:
             raise self._trouble(f"row residual {np.max(np.abs(resid)):.3e} after solve")
         below = self.lb - self.x

@@ -154,7 +154,7 @@ class SimulationTrace:
 def read_trace_csv(path: str | Path, step_hours: float | None = None,
                    controller: str = "") -> SimulationTrace:
     """Re-read a trace written by SimulationTrace.to_csv."""
-    records = [StepRecord(*values) for values in read_table(path, _TRACE_PARSERS)]
+    records = [StepRecord(*values) for _, values in read_table(path, _TRACE_PARSERS)]
     if step_hours is None:
         if len(records) > 1:
             step_hours = (records[1].timestamp - records[0].timestamp).total_seconds() / 3600.0

@@ -55,8 +55,8 @@ def sinusoid_house_temperature(grid: list[datetime], params: HouseTempParams) ->
 
 def load_house_trace_csv(path: str | Path, step_hours: float) -> HouseTemperatureTrace:
     """Read a (timestamp, temperature) CSV and interpolate onto the control step."""
-    times, temps = zip(*read_table(path, {"timestamp": parse_timestamp,
-                                          "temperature": parse_finite}))
+    times, temps = zip(*(values for _, values in read_table(
+        path, {"timestamp": parse_timestamp, "temperature": parse_finite})))
     t0 = times[0]
     src_h = np.array([(t - t0).total_seconds() / 3600.0 for t in times])
     n = int(math.floor(src_h[-1] / step_hours)) + 1

@@ -114,15 +114,16 @@ def parse_weather_csv(path: str | Path, step_hours: float) -> WeatherSeries:
     if step_hours <= 0:
         raise DataError("step_hours must be > 0")
     path = Path(path)
-    timestamps, ghi, wind, t_amb = zip(*read_table(path, _PARSERS))
+    lines, records = zip(*read_table(path, _PARSERS))
+    timestamps, ghi, wind, t_amb = zip(*records)
     if len(timestamps) == 1:
         raise DataError(f"{path}: need at least two records to infer the source step")
 
     deltas = np.diff([ts.timestamp() for ts in timestamps])
     src_step_s = deltas[0]
     if np.any(np.abs(deltas - src_step_s) > 0.5):
-        bad = int(np.argmax(np.abs(deltas - src_step_s))) + 3  # +2 header/base, +1 diff offset
-        raise DataError(f"{path}: non-uniform timestamp spacing near line {bad}")
+        bad = int(np.argmax(np.abs(deltas - src_step_s))) + 1  # the later record of the gap
+        raise DataError(f"{path}: non-uniform timestamp spacing near line {lines[bad]}")
     src_step_h = src_step_s / 3600.0
 
     series = WeatherSeries(

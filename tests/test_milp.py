@@ -5,10 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
+from offgrid.config import default_config
 from offgrid.errors import MilpError
 from offgrid.milp import EQ, GE, LE, MilpModel, SolverOptions, check_solution, solve_lp, solve_milp
-from offgrid.milp.simplex import solve_lp_std
+from offgrid.milp.model import Violation
+from offgrid.milp.simplex import _BoundedSimplex, _Trouble, solve_lp_std
+from offgrid.mpc import build_mpc_milp
+from offgrid.plant import PlantState
+from offgrid.scenario import build_scenario
+from offgrid.weather import synthesize_weather
 
 EXACT = SolverOptions(rel_gap_limit=1e-12, time_limit=120.0)
 
@@ -79,6 +86,58 @@ def lp_vertex_oracle(model):
     return best
 
 
+def linprog_oracle(model):
+    """Independent LP oracle: HiGHS through scipy.optimize.linprog.
+    Returns (status, objective) with status "optimal" or "infeasible"."""
+    std = model.standard_form()
+    rel = np.array(std.relations)
+    sign = np.where(rel == GE, -1.0, 1.0)
+    ub_rows, eq_rows = rel != EQ, rel == EQ
+    res = linprog(
+        std.c,
+        A_ub=(std.a[ub_rows] * sign[ub_rows, None]) if ub_rows.any() else None,
+        b_ub=(std.b * sign)[ub_rows] if ub_rows.any() else None,
+        A_eq=std.a[eq_rows] if eq_rows.any() else None,
+        b_eq=std.b[eq_rows] if eq_rows.any() else None,
+        bounds=list(zip(np.where(np.isfinite(std.lb), std.lb, None),
+                        np.where(np.isfinite(std.ub), std.ub, None))),
+        method="highs",
+    )
+    assert res.status in (0, 2), res.message
+    return ("optimal", float(res.fun)) if res.status == 0 else ("infeasible", None)
+
+
+def horizon_model(profile, n, soc):
+    """The controller's horizon MILP at step 0 of a 3-day synthetic scenario."""
+    cfg = default_config()
+    weather = synthesize_weather(3, profile, seed=1, step_hours=cfg.step_hours)
+    scenario = build_scenario(weather, cfg, days=1)
+    bat = cfg.battery
+    state = PlantState(e_bat_wh=bat.e_min_wh + soc * (bat.e_max_wh - bat.e_min_wh), t_fr_c=2.0)
+    return build_mpc_milp(state, scenario.forecast(0, n), cfg)
+
+
+def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
+    """Reference audit, one variable and one row at a time over the dense matrix."""
+    std = model.standard_form()
+    out = []
+    for j in range(std.n):
+        excess = max(std.lb[j] - values[j], values[j] - std.ub[j])
+        if excess > tol:
+            out.append(Violation("bound", std.names[j], j, float(excess)))
+    lhs = std.a @ values
+    for i, rel in enumerate(std.relations):
+        resid = lhs[i] - std.b[i]
+        excess = resid if rel == LE else (-resid if rel == GE else abs(resid))
+        if excess > tol:
+            out.append(Violation("row", model._rows[i][3], i, float(excess)))
+    for j in model.binary_indices():
+        frac = abs(values[j] - round(values[j]))
+        if frac > integrality_tol:
+            out.append(Violation("integrality", std.names[j], int(j), float(frac)))
+    return out
+
+
 def milp_enum_oracle(model):
     """Exhaustive oracle: LP for every binary assignment, best value wins."""
     std = model.standard_form()
@@ -144,6 +203,22 @@ class TestSolveLp:
         assert r.objective == pytest.approx(1.0)
         assert r.x[1] == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("basis", [[0, 0], [0, 1]])
+    def test_singular_basis_raises_trouble(self, basis):
+        # [0, 0] repeats a column (SuperLU reports an exactly singular
+        # factor); [0, 1] holds two columns parallel up to 1e-14, which only
+        # the check on the diagonal of U catches.
+        m = MilpModel()
+        x = m.add_variable("x", 0, 1)
+        y = m.add_variable("y", 0, 1)
+        m.add_constraint({x: 1.0, y: 1.0}, LE, 1.0)
+        m.add_constraint({x: 1.0, y: 1.0 + 1e-14}, LE, 1.0)
+        std = m.standard_form()
+        engine = _BoundedSimplex(std, std.lb, std.ub)
+        engine.basis = np.array(basis)
+        with pytest.raises(_Trouble, match="singular basis"):
+            engine._refactor()
+
     def test_matches_vertex_oracle_on_random_lps(self):
         rng = np.random.default_rng(2024)
         for trial in range(120):
@@ -156,6 +231,37 @@ class TestSolveLp:
             else:
                 assert mine.status == "optimal", f"trial {trial}"
                 assert mine.objective == pytest.approx(oracle, abs=1e-6), f"trial {trial}"
+
+
+class TestLinprogOracle:
+    @pytest.mark.parametrize("profile,n,soc", [("post-storm", 36, 0.5), ("clear", 144, 1.0)])
+    def test_horizon_root_lp_matches_highs(self, profile, n, soc):
+        model = horizon_model(profile, n, soc)
+        mine = solve_lp(model)
+        status, objective = linprog_oracle(model)
+        assert mine.status == status == "optimal"
+        assert mine.objective == pytest.approx(objective, rel=1e-7)
+
+    def test_random_sparse_lps_match_highs(self):
+        rng = np.random.default_rng(31)
+        seen = set()
+        for trial in range(30):
+            n_cont = int(rng.integers(5, 40))
+            m = random_model(rng, 0, n_cont, int(rng.integers(3, n_cont)),
+                             anchor=bool(rng.integers(0, 2)))
+            mine = solve_lp(m)
+            status, objective = linprog_oracle(m)
+            assert mine.status == status, f"trial {trial}"
+            if status == "optimal":
+                assert mine.objective == pytest.approx(objective, rel=1e-7, abs=1e-7), f"trial {trial}"
+            seen.add(status)
+        assert seen == {"optimal", "infeasible"}
+
+    def test_horizon_root_lp_is_deterministic(self):
+        model = horizon_model("clear", 144, 1.0)
+        first, second = solve_lp(model), solve_lp(model)
+        assert first.x.tobytes() == second.x.tobytes()
+        assert first.iterations == second.iterations
 
 
 class TestSolveMilp:
@@ -320,6 +426,37 @@ class TestCheckSolution:
     def test_wrong_length_rejected(self):
         with pytest.raises(MilpError):
             check_solution(self._model(), np.array([1.0]))
+
+    def test_non_finite_values_flagged(self):
+        m = self._model()
+        for values in ([np.nan, 2.0], [1.0, np.nan], [1.0, np.inf]):
+            report = check_solution(m, np.array(values))
+            assert [v.kind for v in report if v.kind == "bound"], values
+
+    def test_matches_loop_reference_exactly(self):
+        # Eighths keep every product and row sum exact, so the reports must
+        # agree to the last bit whatever the summation order.
+        rng = np.random.default_rng(5)
+        flagged = set()
+        for _ in range(40):
+            m = random_model(rng, int(rng.integers(0, 6)), int(rng.integers(1, 8)),
+                             int(rng.integers(0, 8)), anchor=bool(rng.integers(0, 2)))
+            values = rng.integers(-48, 49, m.n_variables) / 8.0
+            report = check_solution(m, values, tol=0.1, integrality_tol=0.2)
+            assert report == check_solution_loop(m, values, tol=0.1, integrality_tol=0.2)
+            flagged.update(v.kind for v in report)
+        assert flagged == {"bound", "row", "integrality"}
+
+    def test_matches_loop_reference_on_horizon_model(self):
+        model = horizon_model("post-storm", 36, 0.5)
+        x = solve_lp(model).x
+        values = x + np.random.default_rng(3).normal(0.0, 1e-3, x.size)
+        report = check_solution(model, values)
+        reference = check_solution_loop(model, values)
+        assert report
+        assert [(v.kind, v.name, v.index) for v in report] == \
+            [(v.kind, v.name, v.index) for v in reference]
+        assert [v.amount for v in report] == pytest.approx([v.amount for v in reference], rel=1e-9)
 
 
 class TestModelPlumbing:

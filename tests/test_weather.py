@@ -91,6 +91,15 @@ class TestParsing:
         with pytest.raises(DataError, match="non-monotonic timestamp at line 4"):
             parse_weather_csv(path, STEP)
 
+    def test_non_uniform_spacing_reports_line_after_blank_rows(self, tmp_path):
+        rows = make_rows(datetime(2017, 9, 11), 10, [(0, 25, 2)] * 4)
+        rows[2:] = make_rows(datetime(2017, 9, 11, 0, 30), 10, [(0, 25, 2)] * 2)
+        # header on line 1, blank lines 2-3, records on lines 4-7; the
+        # 20-minute gap ends at the record on line 6
+        path = write_csv(tmp_path / "w.csv", ["", ""] + rows)
+        with pytest.raises(DataError, match="non-uniform timestamp spacing near line 6$"):
+            parse_weather_csv(path, STEP)
+
     def test_empty_file(self, tmp_path):
         path = write_csv(tmp_path / "w.csv", [])
         with pytest.raises(DataError, match="no records"):
