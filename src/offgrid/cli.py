@@ -34,7 +34,7 @@ PAPER_HORIZON = 144
 PAPER_TIME_LIMIT_S = 300.0
 
 SOLVER_LOG_COLUMNS = ["step", "status", "objective", "best_bound", "rel_gap",
-                      "nodes", "wall_s", "fallback"]
+                      "nodes", "simplex_iters", "wall_s", "fallback"]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -130,7 +130,8 @@ def _write_solver_log(trace: SimulationTrace, path: Path) -> None:
         for i, rec in enumerate(trace):
             writer.writerow([i, rec.solver_status, f"{rec.solver_objective:.8g}",
                              f"{rec.solver_bound:.8g}", f"{rec.solver_rel_gap:.6g}",
-                             rec.solver_nodes, f"{rec.solver_wall_s:.4g}", rec.fallback])
+                             rec.solver_nodes, rec.solver_iterations,
+                             f"{rec.solver_wall_s:.4g}", rec.fallback])
 
 
 def read_solver_log(path: str | Path) -> list[dict]:

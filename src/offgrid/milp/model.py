@@ -3,9 +3,8 @@
 Variables carry bounds and an optional binary marker; constraints are sparse
 rows with a relation and right-hand side; the objective is always
 minimization. `standard_form()` builds and caches the solver's view: the
-constraint matrix in compressed sparse column form (with its transpose for
-pricing) plus a dense copy that test oracles index; treat a model as immutable
-once handed to a solver.
+constraint matrix in compressed sparse column form, with its transpose for
+pricing; treat a model as immutable once handed to a solver.
 """
 
 from __future__ import annotations
@@ -40,13 +39,12 @@ class Violation:
 
 @dataclass
 class StandardForm:
-    """Arrays of the model: the constraint matrix A as CSC (`a_csc`), its
-    transpose as CSR (`a_t`) and densely (`a`). Each row gets one slack whose
-    bounds encode the relation; slack and artificial columns are identity
-    columns, so the solver keeps them implicit."""
+    """Arrays of the model: the constraint matrix A as CSC (`a_csc`) and its
+    transpose as CSR (`a_t`). Each row gets one slack whose bounds encode the
+    relation; slack and artificial columns are identity columns, so the
+    solver keeps them implicit."""
 
     c: np.ndarray
-    a: np.ndarray
     a_csc: csc_matrix
     a_t: csr_matrix
     relations: list[str]
@@ -186,7 +184,7 @@ class MilpModel:
                             (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
                            shape=(m, n))
         self._std = StandardForm(
-            c=c, a=a_csc.toarray(), a_csc=a_csc, a_t=a_csc.T,
+            c=c, a_csc=a_csc, a_t=a_csc.T,
             relations=relations, b=b,
             lb=np.array(self._lb), ub=np.array(self._ub),
             is_binary=np.array(self._binary, dtype=bool),

@@ -9,8 +9,18 @@ inverse is a sparse LU factorization (SuperLU) plus a product-form eta file,
 refreshed every few dozen pivots; the crash basis is the identity, so the
 first factorization waits for the first refresh.
 
+An LP that differs from an already solved one only in its variable bounds
+(a branch-and-bound child, a round-and-fix LP) starts from that LP's optimal
+basis instead: the nonbasic variables go to their new bounds, the basis is
+factorized, and a bounded dual simplex drives the basic variables back into
+their bounds. Changing bounds keeps an optimal basis dual feasible, so no
+phase 1 is needed; the primal phase 2 then cleans up any dual infeasibility
+left at rounding level.
+
 Pivoting is deterministic: Dantzig pricing (largest reduced cost, lowest
 index on ties), switching to Bland's rule after a run of degenerate steps.
+The dual simplex takes the row with the largest bound violation and the
+smallest dual ratio, lowest index on ties.
 """
 
 from __future__ import annotations
@@ -38,9 +48,19 @@ class _Trouble(Exception):
     """Internal signal for numerical breakdown; triggers one careful retry."""
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A final simplex basis: the basic column of each row, and the status
+    (AT_LB, AT_UB, FREE or BASIC) of every column of [A | I | I]."""
+
+    rows: np.ndarray
+    status: np.ndarray
+
+
 @dataclass
 class LpResult:
-    """Outcome of one LP solve over the structural variables."""
+    """Outcome of one LP solve over the structural variables; `basis` is the
+    optimal basis, from which an LP on the same form may start."""
 
     status: str
     x: np.ndarray | None
@@ -48,6 +68,7 @@ class LpResult:
     duals: np.ndarray | None
     iterations: int
     message: str = ""
+    basis: Basis | None = None
 
     @property
     def ok(self) -> bool:
@@ -60,15 +81,20 @@ def solve_lp(model: MilpModel) -> LpResult:
     return solve_lp_std(std, std.lb, std.ub)
 
 
-def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray) -> LpResult:
-    """Solve with explicit variable bounds (used by branch-and-bound nodes)."""
+def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
+                 start: Basis | None = None) -> LpResult:
+    """Solve with explicit variable bounds (used by branch-and-bound nodes).
+
+    `start` is the optimal basis of an LP on the same form that differs only
+    in bounds; the solve then reoptimizes from it with the dual simplex.
+    """
     iterations = 0
     try:
-        engine = _BoundedSimplex(std, lb, ub)
+        engine = _BoundedSimplex(std, lb, ub, start=start)
         return engine.solve()
     except _Trouble as exc:
         iterations = getattr(exc, "iterations", 0)
-    # Deterministic retry: Bland from the start, refactor on every pivot.
+    # Deterministic retry: cold, Bland from the start, refactor on every pivot.
     try:
         engine = _BoundedSimplex(std, lb, ub, bland=True, refactor_every=1)
         result = engine.solve()
@@ -91,10 +117,12 @@ class _IdentityFactor:
 class _BoundedSimplex:
     DUAL_TOL = 1e-9
     PIV_TOL = 1e-9
+    PRIMAL_TOL = 1e-9  # basic bound violation the dual simplex leaves alone
     DEGEN_LIMIT = 40
 
     def __init__(self, std: StandardForm, lb: np.ndarray, ub: np.ndarray,
-                 bland: bool = False, refactor_every: int = 32):
+                 bland: bool = False, refactor_every: int = 32,
+                 start: Basis | None = None):
         self.std = std
         self.m, self.n = std.m, std.n
         self.nt = self.n + 2 * self.m
@@ -121,7 +149,11 @@ class _BoundedSimplex:
         self.lu = _IdentityFactor()
         self.etas: list[tuple[int, np.ndarray]] = []
         self._needs_phase1 = False
-        self._crash_basis()
+        self.warm = start is not None
+        if self.warm:
+            self._load_basis(start)
+        else:
+            self._crash_basis()
 
     # -- setup --------------------------------------------------------------
 
@@ -131,29 +163,33 @@ class _BoundedSimplex:
         n, m = self.n, self.m
         if m == 0:
             return
+        rows = np.arange(m)
+        slack_lb, slack_ub = self.lb[n:n + m], self.ub[n:n + m]
         r = self.b - self.A @ self.x[:n]
-        for i in range(m):
-            s = n + i
-            absorbed = min(max(r[i], self.lb[s]), self.ub[s])
-            if abs(r[i] - absorbed) <= 1e-12:
-                self.basis[i] = s
-                self.x[s] = r[i]
-                self.status[s] = BASIC
-            else:
-                self.x[s] = absorbed
-                self.status[s] = AT_LB if absorbed == self.lb[s] else AT_UB
-                resid = r[i] - absorbed
-                a = n + m + i
-                if resid >= 0:
-                    self.lb[a], self.ub[a] = 0.0, math.inf
-                    self.phase1_cost[a] = 1.0
-                else:
-                    self.lb[a], self.ub[a] = -math.inf, 0.0
-                    self.phase1_cost[a] = -1.0
-                self.x[a] = resid
-                self.status[a] = BASIC
-                self.basis[i] = a
-                self._needs_phase1 = True
+        absorbed = np.clip(r, slack_lb, slack_ub)
+        resid = r - absorbed
+        short = ~(np.abs(resid) <= 1e-12)
+        self.x[n:n + m] = np.where(short, absorbed, r)
+        self.status[n:n + m] = np.where(short, np.where(absorbed == slack_lb, AT_LB, AT_UB), BASIC)
+        self.basis[:] = np.where(short, n + m + rows, n + rows)
+        arts = n + m + rows[short]
+        up = resid[short] >= 0
+        self.lb[arts] = np.where(up, 0.0, -math.inf)
+        self.ub[arts] = np.where(up, math.inf, 0.0)
+        self.phase1_cost[arts] = np.where(up, 1.0, -1.0)
+        self.x[arts] = resid[short]
+        self.status[arts] = BASIC
+        self._needs_phase1 = bool(short.any())
+
+    def _load_basis(self, start: Basis) -> None:
+        """Start from a previous optimal basis: nonbasic variables at their
+        (new) bounds, basic values from a fresh factorization."""
+        self.basis = start.rows.copy()
+        self.status = start.status.copy()
+        self.x = np.select([self.status == AT_LB, self.status == AT_UB], [self.lb, self.ub], 0.0)
+        if not np.all(np.isfinite(self.x)):
+            raise self._trouble("start basis puts a variable at an infinite bound")
+        self._refactor()
 
     # -- basis inverse maintenance ------------------------------------------
 
@@ -161,6 +197,10 @@ class _BoundedSimplex:
         """[A | I | I] @ x over structural, slack and artificial parts."""
         n, m = self.n, self.m
         return self.A @ x[:n] + x[n:n + m] + x[n + m:]
+
+    def _ext_rmatvec(self, y: np.ndarray) -> np.ndarray:
+        """[A | I | I]^T @ y."""
+        return np.concatenate([self.std.a_t @ y, y, y])
 
     def _column(self, j: int) -> np.ndarray:
         """Dense copy of column j of [A | I | I]."""
@@ -249,7 +289,7 @@ class _BoundedSimplex:
             self.iterations += 1
 
             y = self._btran(c[self.basis])
-            d = c - np.concatenate([self.std.a_t @ y, y, y])
+            d = c - self._ext_rmatvec(y)
             movable = (self.lb < self.ub) & (self.status != BASIC)
             elig_lb = movable & (self.status == AT_LB) & (d < -self.DUAL_TOL)
             elig_ub = movable & (self.status == AT_UB) & (d > self.DUAL_TOL)
@@ -315,6 +355,58 @@ class _BoundedSimplex:
                 self.degen_streak = 0
                 self.bland = self.bland_base
 
+    def _dual(self, c: np.ndarray) -> bool:
+        """Bounded dual simplex until every basic variable is within its
+        bounds; False when a row proves the LP infeasible."""
+        y = self._btran(c[self.basis])
+        d = c - self._ext_rmatvec(y)
+        while True:
+            xb = self.x[self.basis]
+            below = self.lb[self.basis] - xb
+            above = xb - self.ub[self.basis]
+            violation = np.maximum(below, above)
+            r = int(np.argmax(violation))
+            if violation[r] <= self.PRIMAL_TOL:
+                return True
+            if self.iterations >= self.max_iter:
+                raise self._trouble("iteration limit exceeded")
+            self.iterations += 1
+
+            # Row r of B^-1 [A | I | I]; s = +1 when x_p, the basic variable of
+            # row r, must rise to its lower bound, -1 when it must fall to its
+            # upper bound.
+            e_r = np.zeros(self.m)
+            e_r[r] = 1.0
+            alpha = self._ext_rmatvec(self._btran(e_r))
+            s = 1.0 if below[r] > 0 else -1.0
+            a = s * alpha
+            movable = (self.lb < self.ub) & (self.status != BASIC)
+            eligible = movable & (((self.status == AT_LB) & (a < -self.PIV_TOL))
+                                  | ((self.status == AT_UB) & (a > self.PIV_TOL))
+                                  | ((self.status == FREE) & (np.abs(a) > self.PIV_TOL)))
+            if not eligible.any():
+                return False
+            ratio = np.full(self.nt, math.inf)
+            ratio[eligible] = np.abs(d[eligible]) / np.abs(a[eligible])
+            q = int(np.argmin(ratio))
+            t = ratio[q]
+
+            w = self._ftran(self._column(q))
+            if abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(alpha[q])):
+                raise self._trouble("pivot row and column disagree")
+            p = self.basis[r]
+            target = self.lb[p] if s > 0 else self.ub[p]
+            theta = (xb[r] - target) / w[r]
+            self.x[self.basis] = xb - theta * w
+            self.x[q] += theta
+            self.x[p] = target
+            self.status[p] = AT_LB if s > 0 else AT_UB
+            self.status[q] = BASIC
+            self.basis[r] = q
+            d += t * a
+            d[q] = 0.0
+            self._push_eta(r, w)
+
     # -- driver ---------------------------------------------------------------
 
     def solve(self) -> LpResult:
@@ -332,6 +424,9 @@ class _BoundedSimplex:
             self.ub[arts] = 0.0
             nonbasic_art = (self.status[arts] != BASIC)
             self.x[np.arange(self.n + self.m, self.nt)[nonbasic_art]] = 0.0
+        elif self.warm and not self._dual(c2):
+            return LpResult(INFEASIBLE, None, math.nan, None, self.iterations,
+                            "dual simplex: a basic variable cannot reach its bounds")
         status = self._iterate(c2, phase=2)
         if status == UNBOUNDED:
             return LpResult(UNBOUNDED, None, -math.inf, None, self.iterations,
@@ -340,7 +435,8 @@ class _BoundedSimplex:
         x_struct = self.x[: self.n].copy()
         objective = float(self.std.c @ x_struct)
         duals = self._btran(c2[self.basis])
-        return LpResult(OPTIMAL, x_struct, objective, duals, self.iterations)
+        return LpResult(OPTIMAL, x_struct, objective, duals, self.iterations,
+                        basis=Basis(self.basis.copy(), self.status.copy()))
 
     def _solve_unconstrained(self) -> LpResult:
         c = self.std.c

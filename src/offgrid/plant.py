@@ -103,6 +103,7 @@ class StepRecord:
     solver_bound: float = float("nan")
     solver_rel_gap: float = float("nan")
     solver_nodes: int = 0
+    solver_iterations: int = 0
     solver_wall_s: float = 0.0
     fallback: int = 0
 
@@ -308,6 +309,7 @@ def run_closed_loop(
             rec.solver_bound = decision.solver.best_bound
             rec.solver_rel_gap = decision.solver.rel_gap
             rec.solver_nodes = decision.solver.nodes_explored
+            rec.solver_iterations = decision.solver.simplex_iterations
             rec.solver_wall_s = decision.solver.wall_time
         rec.fallback = 1 if decision.fallback else 0
         records.append(rec)

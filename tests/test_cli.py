@@ -58,6 +58,10 @@ class TestSimulate:
         log_rows = read_solver_log(out / "solver_log.csv")
         assert len(log_rows) == 36
         assert all(r["status"] in ("Optimal", "GapLimit", "TimeLimit") for r in log_rows)
+        for row, rec in zip(log_rows, trace):
+            assert (row["status"], int(row["nodes"]), int(row["simplex_iters"])) == \
+                (rec.solver_status, rec.solver_nodes, rec.solver_iterations)
+            assert rec.solver_iterations > 0
 
     def test_baseline_writes_no_solver_log(self, tmp_path, weather_csv):
         out = tmp_path / "runb"

@@ -11,7 +11,8 @@ from offgrid.config import default_config
 from offgrid.errors import MilpError
 from offgrid.milp import EQ, GE, LE, MilpModel, SolverOptions, check_solution, solve_lp, solve_milp
 from offgrid.milp.model import Violation
-from offgrid.milp.simplex import _BoundedSimplex, _Trouble, solve_lp_std
+import offgrid.milp.branch_bound
+from offgrid.milp.simplex import AT_LB, AT_UB, BASIC, FREE, Basis, _BoundedSimplex, _Trouble, solve_lp_std
 from offgrid.mpc import build_mpc_milp
 from offgrid.plant import PlantState
 from offgrid.scenario import build_scenario
@@ -57,7 +58,8 @@ def lp_vertex_oracle(model):
     solve the square systems, keep feasible points, return the best value."""
     std = model.standard_form()
     n = std.n
-    cands = [(std.a[i], std.b[i]) for i in range(std.m)]
+    a_dense = std.a_csc.toarray()
+    cands = [(a_dense[i], std.b[i]) for i in range(std.m)]
     eye = np.eye(n)
     for j in range(n):
         if math.isfinite(std.lb[j]):
@@ -73,7 +75,7 @@ def lp_vertex_oracle(model):
         x = np.linalg.solve(a, b)
         if np.any(x < std.lb - 1e-7) or np.any(x > std.ub + 1e-7):
             continue
-        lhs = std.a @ x if std.m else np.zeros(0)
+        lhs = a_dense @ x if std.m else np.zeros(0)
         ok = True
         for i, rel in enumerate(std.relations):
             r = lhs[i] - std.b[i]
@@ -86,21 +88,25 @@ def lp_vertex_oracle(model):
     return best
 
 
-def linprog_oracle(model):
-    """Independent LP oracle: HiGHS through scipy.optimize.linprog.
-    Returns (status, objective) with status "optimal" or "infeasible"."""
+def linprog_oracle(model, lb=None, ub=None):
+    """Independent LP oracle: HiGHS through scipy.optimize.linprog, over the
+    model's bounds or the given ones. Returns (status, objective) with status
+    "optimal" or "infeasible"."""
     std = model.standard_form()
+    lb = std.lb if lb is None else lb
+    ub = std.ub if ub is None else ub
+    a_dense = std.a_csc.toarray()
     rel = np.array(std.relations)
     sign = np.where(rel == GE, -1.0, 1.0)
     ub_rows, eq_rows = rel != EQ, rel == EQ
     res = linprog(
         std.c,
-        A_ub=(std.a[ub_rows] * sign[ub_rows, None]) if ub_rows.any() else None,
+        A_ub=(a_dense[ub_rows] * sign[ub_rows, None]) if ub_rows.any() else None,
         b_ub=(std.b * sign)[ub_rows] if ub_rows.any() else None,
-        A_eq=std.a[eq_rows] if eq_rows.any() else None,
+        A_eq=a_dense[eq_rows] if eq_rows.any() else None,
         b_eq=std.b[eq_rows] if eq_rows.any() else None,
-        bounds=list(zip(np.where(np.isfinite(std.lb), std.lb, None),
-                        np.where(np.isfinite(std.ub), std.ub, None))),
+        bounds=list(zip(np.where(np.isfinite(lb), lb, None),
+                        np.where(np.isfinite(ub), ub, None))),
         method="highs",
     )
     assert res.status in (0, 2), res.message
@@ -125,7 +131,7 @@ def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
         excess = max(std.lb[j] - values[j], values[j] - std.ub[j])
         if excess > tol:
             out.append(Violation("bound", std.names[j], j, float(excess)))
-    lhs = std.a @ values
+    lhs = std.a_csc.toarray() @ values
     for i, rel in enumerate(std.relations):
         resid = lhs[i] - std.b[i]
         excess = resid if rel == LE else (-resid if rel == GE else abs(resid))
@@ -136,6 +142,35 @@ def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
         if frac > integrality_tol:
             out.append(Violation("integrality", std.names[j], int(j), float(frac)))
     return out
+
+
+def crash_basis_loop(std, lb, ub):
+    """Reference crash, one row at a time: (basis, x, status, lb, ub,
+    phase1_cost) of the all-slack start with signed artificials."""
+    n, m = std.n, std.m
+    lb = np.concatenate([lb, std.slack_lb, np.zeros(m)])
+    ub = np.concatenate([ub, std.slack_ub, np.zeros(m)])
+    x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
+    status = np.where(np.isfinite(lb), AT_LB, np.where(np.isfinite(ub), AT_UB, FREE)).astype(int)
+    basis = np.zeros(m, dtype=int)
+    cost = np.zeros(n + 2 * m)
+    r = std.b - std.a_csc @ x[:n]
+    for i in range(m):
+        s = n + i
+        absorbed = min(max(r[i], lb[s]), ub[s])
+        if abs(r[i] - absorbed) <= 1e-12:
+            basis[i], x[s], status[s] = s, r[i], BASIC
+            continue
+        x[s] = absorbed
+        status[s] = AT_LB if absorbed == lb[s] else AT_UB
+        a = n + m + i
+        resid = r[i] - absorbed
+        if resid >= 0:
+            lb[a], ub[a], cost[a] = 0.0, math.inf, 1.0
+        else:
+            lb[a], ub[a], cost[a] = -math.inf, 0.0, -1.0
+        x[a], status[a], basis[i] = resid, BASIC, a
+    return basis, x, status, lb, ub, cost
 
 
 def milp_enum_oracle(model):
@@ -262,6 +297,106 @@ class TestLinprogOracle:
         first, second = solve_lp(model), solve_lp(model)
         assert first.x.tobytes() == second.x.tobytes()
         assert first.iterations == second.iterations
+
+
+class TestCrashBasis:
+    def test_matches_loop_reference_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        models = [horizon_model("post-storm", 36, 0.5), horizon_model("clear", 144, 1.0)]
+        models += [random_model(rng, int(rng.integers(0, 4)), int(rng.integers(1, 30)),
+                                int(rng.integers(1, 20)), anchor=bool(rng.integers(0, 2)))
+                   for _ in range(40)]
+        with_artificials = 0
+        for model in models:
+            std = model.standard_form()
+            engine = _BoundedSimplex(std, std.lb, std.ub)
+            got = (engine.basis, engine.x, engine.status, engine.lb, engine.ub, engine.phase1_cost)
+            for mine, ref in zip(got, crash_basis_loop(std, std.lb, std.ub)):
+                assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
+            assert engine._needs_phase1 == bool(np.any(engine.basis >= std.n + std.m))
+            with_artificials += engine._needs_phase1
+        assert 0 < with_artificials < len(models)
+
+
+NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
+
+
+def recorded_lps(monkeypatch, model, options):
+    """Solve the MILP, recording every LP branch-and-bound asks for as
+    (lb, ub, start, result)."""
+    calls = []
+
+    def record(std, lb, ub, start=None):
+        res = solve_lp_std(std, lb, ub, start=start)
+        calls.append((lb.copy(), ub.copy(), start, res))
+        return res
+
+    monkeypatch.setattr(offgrid.milp.branch_bound, "solve_lp_std", record)
+    return solve_milp(model, options), calls
+
+
+class TestWarmStart:
+    """Child and round-fix LPs reoptimize from their parent's basis."""
+
+    @pytest.fixture(scope="class")
+    def storm(self):
+        monkeypatch = pytest.MonkeyPatch()
+        model = horizon_model("post-storm", 36, 0.5)
+        try:
+            solution, calls = recorded_lps(monkeypatch, model, NODE_BUDGET)
+        finally:
+            monkeypatch.undo()
+        assert solution.status == "TimeLimit" and solution.nodes_explored >= 30
+        return model, solution, calls
+
+    def test_every_warm_lp_equals_cold_and_highs(self, storm):
+        model, _solution, calls = storm
+        std = model.standard_form()
+        warm = [(lb, ub, res) for lb, ub, start, res in calls if start is not None]
+        assert len(warm) == len(calls) - 1  # all but the root
+        statuses = set()
+        for k, (lb, ub, res) in enumerate(warm):
+            cold = solve_lp_std(std, lb, ub)
+            assert res.status == cold.status, f"LP {k}"
+            status, objective = linprog_oracle(model, lb, ub)
+            assert res.status == status, f"LP {k}"
+            if status == "optimal":
+                assert res.objective == pytest.approx(cold.objective, rel=1e-9), f"LP {k}"
+                assert res.objective == pytest.approx(objective, rel=1e-7), f"LP {k}"
+            statuses.add(status)
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_node_lps_take_a_fifth_of_cold_iterations(self, storm):
+        model, _solution, calls = storm
+        std = model.standard_form()
+        bins = model.binary_indices()
+        nodes = [(lb, ub, res) for lb, ub, _start, res in calls[1:]
+                 if np.any(lb[bins] < ub[bins])]  # round-fix LPs fix every binary
+        assert len(nodes) >= 20
+        warm = sum(res.iterations for _lb, _ub, res in nodes)
+        cold = sum(solve_lp_std(std, lb, ub).iterations for lb, ub, _res in nodes)
+        assert warm * 5 <= cold, (warm, cold)
+
+    def test_repeats_bit_for_bit(self, storm):
+        model, first, _calls = storm
+        second = solve_milp(model, NODE_BUDGET)
+        assert first.values.tobytes() == second.values.tobytes()
+        assert (first.nodes_explored, first.simplex_iterations) == \
+            (second.nodes_explored, second.simplex_iterations)
+        assert (first.objective, first.best_bound) == (second.objective, second.best_bound)
+
+    def test_singular_start_falls_back_to_cold_optimum(self):
+        model = random_model(np.random.default_rng(12), 0, 8, 6)
+        std = model.standard_form()
+        cold = solve_lp_std(std, std.lb, std.ub)
+        rows = cold.basis.rows.copy()
+        rows[1] = rows[0]  # a repeated column: SuperLU finds the basis singular
+        start = Basis(rows, cold.basis.status)
+        with pytest.raises(_Trouble, match="singular basis"):
+            _BoundedSimplex(std, std.lb, std.ub, start=start)
+        res = solve_lp_std(std, std.lb, std.ub, start=start)
+        assert res.status == cold.status == "optimal"
+        assert res.objective == pytest.approx(cold.objective, rel=1e-9)
 
 
 class TestSolveMilp:

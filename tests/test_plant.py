@@ -183,7 +183,8 @@ class TestClosedLoop:
         weather = synthesize_weather(1, "clear", seed=0)
         baseline = run_closed_loop("baseline", build_scenario(weather, cfg, days=0.25), cfg)
         proposed = run_closed_loop("proposed", build_scenario(weather, cfg, days=1 / 24), cfg)
-        assert all(r.solver_status and r.solver_wall_s > 0 for r in proposed.records)
+        assert all(r.solver_status and r.solver_wall_s > 0 and r.solver_iterations > 0
+                   for r in proposed.records)
         for trace in (baseline, proposed):
             path = tmp_path / f"{trace.controller}.csv"
             trace.to_csv(path)
