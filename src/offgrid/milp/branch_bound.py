@@ -1,4 +1,4 @@
-"""Best-bound branch-and-bound over the binary variables of a MilpModel.
+"""Best-bound branch-and-bound over the binary variables of a MILP.
 
 Nodes are solved eagerly and kept on a min-heap keyed by their LP relaxation
 value, so the popped bound is always the proven global lower bound; the
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import MilpError
-from .model import MilpModel, check_solution
+from .model import MilpModel, StandardForm, as_standard_form, check_solution
 from .simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, Basis, solve_lp_std
 
 GAP_DENOM_FLOOR = 1e-10
@@ -78,7 +78,7 @@ def relative_gap(objective: float, best_bound: float) -> float:
     return (objective - best_bound) / max(abs(objective), GAP_DENOM_FLOOR)
 
 
-def solve_milp(model: MilpModel, options: SolverOptions | None = None,
+def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = None,
                initial_solution=None) -> MilpSolution:
     """Solve a MILP by LP-based branch-and-bound on its binary variables.
 
@@ -88,8 +88,8 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
-    std = model.standard_form()
-    bin_idx = model.binary_indices()
+    std = as_standard_form(model)
+    bin_idx = np.flatnonzero(std.is_binary)
 
     incumbent_x: np.ndarray | None = None
     incumbent_obj = math.inf
@@ -100,7 +100,7 @@ def solve_milp(model: MilpModel, options: SolverOptions | None = None,
             candidates = list(initial_solution)
         for cand in candidates:
             cand = np.asarray(cand, dtype=float)
-            if check_solution(model, cand, FEASIBILITY_TOL, INTEGRALITY_TOL):
+            if check_solution(std, cand, FEASIBILITY_TOL, INTEGRALITY_TOL):
                 continue
             obj = float(std.c @ cand)
             if obj < incumbent_obj:

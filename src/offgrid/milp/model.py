@@ -1,16 +1,18 @@
-"""Model container for mixed-integer linear programs.
+"""Model types for mixed-integer linear programs (always minimization).
 
-Variables carry bounds and an optional binary marker; constraints are sparse
-rows with a relation and right-hand side; the objective is always
-minimization. `standard_form()` builds and caches the solver's view: the
-constraint matrix in compressed sparse column form, with its transpose for
-pricing; treat a model as immutable once handed to a solver.
+The solver stack reads one type, `StandardForm`: arrays for the objective,
+a sparse constraint matrix, bounds and binary markers, plus names. The
+controller builds its horizon MILP straight into one. `MilpModel` is the
+builder for hand-written models (variables with bounds, sparse rows with a
+relation and right-hand side); the solver functions take its cached
+`standard_form()`. Treat either as immutable once handed to a solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -39,22 +41,21 @@ class Violation:
 
 @dataclass
 class StandardForm:
-    """Arrays of the model: the constraint matrix A as CSC (`a_csc`) and its
-    transpose as CSR (`a_t`). Each row gets one slack whose bounds encode the
-    relation; slack and artificial columns are identity columns, so the
-    solver keeps them implicit."""
+    """Arrays of a model: the constraint matrix A as CSC (`a_csc`), with no
+    stored zeros. Each row gets one slack whose bounds encode the relation;
+    slack and artificial columns are identity columns, so the solver keeps
+    them implicit."""
 
+    name: str
     c: np.ndarray
     a_csc: csc_matrix
-    a_t: csr_matrix
     relations: list[str]
     b: np.ndarray
     lb: np.ndarray
     ub: np.ndarray
     is_binary: np.ndarray
     names: list[str]
-    slack_lb: np.ndarray
-    slack_ub: np.ndarray
+    row_names: list[str]
 
     @property
     def n(self) -> int:
@@ -63,6 +64,18 @@ class StandardForm:
     @property
     def m(self) -> int:
         return len(self.b)
+
+    @cached_property
+    def a_t(self) -> csr_matrix:  # for pricing
+        return self.a_csc.T
+
+    @cached_property
+    def slack_lb(self) -> np.ndarray:
+        return np.where(np.asarray(self.relations, dtype=str) == GE, -math.inf, 0.0)
+
+    @cached_property
+    def slack_ub(self) -> np.ndarray:
+        return np.where(np.asarray(self.relations, dtype=str) == LE, math.inf, 0.0)
 
 
 class MilpModel:
@@ -139,19 +152,6 @@ class MilpModel:
     def n_variables(self) -> int:
         return len(self._names)
 
-    @property
-    def n_constraints(self) -> int:
-        return len(self._rows)
-
-    def variable_names(self) -> list[str]:
-        return list(self._names)
-
-    def binary_indices(self) -> np.ndarray:
-        return np.flatnonzero(np.array(self._binary, dtype=bool))
-
-    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        return np.array(self._lb, dtype=float), np.array(self._ub, dtype=float)
-
     def standard_form(self) -> StandardForm:
         if self._std is not None:
             return self._std
@@ -159,81 +159,84 @@ class MilpModel:
         c = np.zeros(n)
         for j, v in self._obj.items():
             c[j] = v
-        b = np.zeros(m)
-        relations: list[str] = []
-        slack_lb = np.zeros(m)
-        slack_ub = np.zeros(m)
         rows: list[int] = []
         cols: list[int] = []
         vals: list[float] = []
-        for i, (coeffs, rel, rhs, _nm) in enumerate(self._rows):
+        for i, (coeffs, *_) in enumerate(self._rows):
             rows.extend([i] * len(coeffs))
             cols.extend(coeffs)
             vals.extend(coeffs.values())
-            b[i] = rhs
-            relations.append(rel)
-            if rel == LE:
-                slack_lb[i], slack_ub[i] = 0.0, math.inf
-            elif rel == GE:
-                slack_lb[i], slack_ub[i] = -math.inf, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
         # Row dicts hold no duplicate or zero entries, so the CSC has exactly
         # the model's nonzeros, with sorted row indices in each column.
         a_csc = csc_matrix((np.array(vals, dtype=float),
                             (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
                            shape=(m, n))
         self._std = StandardForm(
-            c=c, a_csc=a_csc, a_t=a_csc.T,
-            relations=relations, b=b,
-            lb=np.array(self._lb), ub=np.array(self._ub),
+            name=self.name, c=c, a_csc=a_csc,
+            relations=[row[1] for row in self._rows],
+            b=np.array([row[2] for row in self._rows], dtype=float),
+            lb=np.array(self._lb, dtype=float), ub=np.array(self._ub, dtype=float),
             is_binary=np.array(self._binary, dtype=bool),
             names=list(self._names),
-            slack_lb=slack_lb, slack_ub=slack_ub,
+            row_names=[row[3] for row in self._rows],
         )
         return self._std
 
     # -- diagnostics --------------------------------------------------------
 
     def to_lp_text(self) -> str:
-        """Plain-text LP-style listing for offline cross-checking."""
-        lines = [f"\\ model {self.name}", "minimize:"]
-        terms = [f"{v:+g} {self._names[j]}" for j, v in sorted(self._obj.items())]
-        lines.append("  " + (" ".join(terms) if terms else "0"))
-        lines.append("subject to:")
-        for coeffs, rel, rhs, nm in self._rows:
-            row = " ".join(f"{v:+g} {self._names[j]}" for j, v in sorted(coeffs.items()))
-            lines.append(f"  {nm}: {row or '0'} {rel} {rhs:g}")
-        lines.append("bounds:")
-        for j, nm in enumerate(self._names):
-            lines.append(f"  {self._lb[j]:g} <= {nm} <= {self._ub[j]:g}")
-        binaries = [self._names[j] for j in range(len(self._names)) if self._binary[j]]
-        if binaries:
-            lines.append("binary:")
-            lines.append("  " + " ".join(binaries))
-        lines.append("end")
-        return "\n".join(lines) + "\n"
+        return to_lp_text(self.standard_form())
 
     def dump(self, path: str | Path) -> Path:
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(self.to_lp_text())
-        return path
+        return dump_lp(self.standard_form(), path)
 
 
-def check_solution(model: MilpModel, values: np.ndarray, tol: float = 1e-7,
+def as_standard_form(model: MilpModel | StandardForm) -> StandardForm:
+    """The form the solver functions read."""
+    return model.standard_form() if isinstance(model, MilpModel) else model
+
+
+def to_lp_text(std: StandardForm) -> str:
+    """Plain-text LP-style listing for offline cross-checking."""
+    names = std.names
+    lines = [f"\\ model {std.name}", "minimize:"]
+    terms = [f"{std.c[j]:+g} {names[j]}" for j in np.flatnonzero(std.c)]
+    lines.append("  " + (" ".join(terms) if terms else "0"))
+    lines.append("subject to:")
+    a = std.a_csc.tocsr()
+    for i, (nm, rel, rhs) in enumerate(zip(std.row_names, std.relations, std.b)):
+        span = slice(a.indptr[i], a.indptr[i + 1])
+        row = " ".join(f"{v:+g} {names[j]}" for j, v in zip(a.indices[span], a.data[span]))
+        lines.append(f"  {nm}: {row or '0'} {rel} {rhs:g}")
+    lines.append("bounds:")
+    for nm, lo, hi in zip(names, std.lb, std.ub):
+        lines.append(f"  {lo:g} <= {nm} <= {hi:g}")
+    if std.is_binary.any():
+        lines.append("binary:")
+        lines.append("  " + " ".join(names[j] for j in np.flatnonzero(std.is_binary)))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
+
+
+def dump_lp(std: StandardForm, path: str | Path) -> Path:
+    """Write `to_lp_text(std)` to `path`, creating its directory."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(to_lp_text(std))
+    return path
+
+
+def check_solution(model: MilpModel | StandardForm, values: np.ndarray, tol: float = 1e-7,
                    integrality_tol: float = 1e-6) -> list[Violation]:
     """Audit a full assignment against bounds, rows and integrality.
 
     Independent of the solver: recomputes every row product from the model
     data. An empty report means the point is feasible within the tolerances.
     """
+    std = as_standard_form(model)
     values = np.asarray(values, dtype=float)
-    if values.shape != (model.n_variables,):
-        raise MilpError(
-            f"assignment covers {values.shape} values, model has {model.n_variables}"
-        )
-    std = model.standard_form()
+    if values.shape != (std.n,):
+        raise MilpError(f"assignment covers {values.shape} values, model has {std.n}")
     out: list[Violation] = []
     bound_excess = np.maximum(std.lb - values, values - std.ub)
     # NaN excess (a NaN or infinite value) is never within bounds
@@ -244,8 +247,8 @@ def check_solution(model: MilpModel, values: np.ndarray, tol: float = 1e-7,
         rel = np.asarray(std.relations)
         row_excess = np.where(rel == LE, resid, np.where(rel == GE, -resid, np.abs(resid)))
         for i in np.flatnonzero(row_excess > tol):
-            out.append(Violation("row", model._rows[i][3], int(i), float(row_excess[i])))
-    bins = model.binary_indices()
+            out.append(Violation("row", std.row_names[i], int(i), float(row_excess[i])))
+    bins = np.flatnonzero(std.is_binary)
     frac = np.abs(values[bins] - np.round(values[bins]))
     for k in np.flatnonzero(frac > integrality_tol):
         out.append(Violation("integrality", std.names[bins[k]], int(bins[k]), float(frac[k])))

@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
-from .model import MilpModel, StandardForm
+from .model import MilpModel, StandardForm, as_standard_form
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
@@ -70,14 +70,10 @@ class LpResult:
     message: str = ""
     basis: Basis | None = None
 
-    @property
-    def ok(self) -> bool:
-        return self.status == OPTIMAL
 
-
-def solve_lp(model: MilpModel) -> LpResult:
+def solve_lp(model: MilpModel | StandardForm) -> LpResult:
     """Solve the LP relaxation of a model (integrality markers ignored)."""
-    std = model.standard_form()
+    std = as_standard_form(model)
     return solve_lp_std(std, std.lb, std.ub)
 
 

@@ -77,6 +77,10 @@ class ForecastWindow:
         n = len(self.g_avail_wh)
         if len(self.t_house_c) != n or len(self.e_secondary_wh) != n:
             raise DataError("forecast series must share one length")
+        for name in ("g_avail_wh", "t_house_c", "e_secondary_wh"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise DataError(f"forecast {name} is not finite at step {bad[0]}")
         if np.any(self.g_avail_wh < 0) or np.any(self.e_secondary_wh < 0):
             raise DataError("forecast energies must be >= 0")
 

@@ -10,7 +10,7 @@ from scipy.optimize import linprog
 from offgrid.config import default_config
 from offgrid.errors import MilpError
 from offgrid.milp import EQ, GE, LE, MilpModel, SolverOptions, check_solution, solve_lp, solve_milp
-from offgrid.milp.model import Violation
+from offgrid.milp.model import Violation, as_standard_form
 import offgrid.milp.branch_bound
 from offgrid.milp.simplex import AT_LB, AT_UB, BASIC, FREE, Basis, _BoundedSimplex, _Trouble, solve_lp_std
 from offgrid.mpc import build_mpc_milp
@@ -92,7 +92,7 @@ def linprog_oracle(model, lb=None, ub=None):
     """Independent LP oracle: HiGHS through scipy.optimize.linprog, over the
     model's bounds or the given ones. Returns (status, objective) with status
     "optimal" or "infeasible"."""
-    std = model.standard_form()
+    std = as_standard_form(model)
     lb = std.lb if lb is None else lb
     ub = std.ub if ub is None else ub
     a_dense = std.a_csc.toarray()
@@ -125,7 +125,7 @@ def horizon_model(profile, n, soc):
 
 def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
     """Reference audit, one variable and one row at a time over the dense matrix."""
-    std = model.standard_form()
+    std = as_standard_form(model)
     out = []
     for j in range(std.n):
         excess = max(std.lb[j] - values[j], values[j] - std.ub[j])
@@ -136,8 +136,8 @@ def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
         resid = lhs[i] - std.b[i]
         excess = resid if rel == LE else (-resid if rel == GE else abs(resid))
         if excess > tol:
-            out.append(Violation("row", model._rows[i][3], i, float(excess)))
-    for j in model.binary_indices():
+            out.append(Violation("row", std.row_names[i], i, float(excess)))
+    for j in np.flatnonzero(std.is_binary):
         frac = abs(values[j] - round(values[j]))
         if frac > integrality_tol:
             out.append(Violation("integrality", std.names[j], int(j), float(frac)))
@@ -176,7 +176,7 @@ def crash_basis_loop(std, lb, ub):
 def milp_enum_oracle(model):
     """Exhaustive oracle: LP for every binary assignment, best value wins."""
     std = model.standard_form()
-    bin_idx = model.binary_indices()
+    bin_idx = np.flatnonzero(std.is_binary)
     best = math.inf
     for bits in itertools.product((0.0, 1.0), repeat=len(bin_idx)):
         lo, hi = std.lb.copy(), std.ub.copy()
@@ -308,7 +308,7 @@ class TestCrashBasis:
                    for _ in range(40)]
         with_artificials = 0
         for model in models:
-            std = model.standard_form()
+            std = as_standard_form(model)
             engine = _BoundedSimplex(std, std.lb, std.ub)
             got = (engine.basis, engine.x, engine.status, engine.lb, engine.ub, engine.phase1_cost)
             for mine, ref in zip(got, crash_basis_loop(std, std.lb, std.ub)):
@@ -351,7 +351,7 @@ class TestWarmStart:
 
     def test_every_warm_lp_equals_cold_and_highs(self, storm):
         model, _solution, calls = storm
-        std = model.standard_form()
+        std = as_standard_form(model)
         warm = [(lb, ub, res) for lb, ub, start, res in calls if start is not None]
         assert len(warm) == len(calls) - 1  # all but the root
         statuses = set()
@@ -368,8 +368,8 @@ class TestWarmStart:
 
     def test_node_lps_take_a_fifth_of_cold_iterations(self, storm):
         model, _solution, calls = storm
-        std = model.standard_form()
-        bins = model.binary_indices()
+        std = as_standard_form(model)
+        bins = np.flatnonzero(std.is_binary)
         nodes = [(lb, ub, res) for lb, ub, _start, res in calls[1:]
                  if np.any(lb[bins] < ub[bins])]  # round-fix LPs fix every binary
         assert len(nodes) >= 20

@@ -1,5 +1,6 @@
 """Controller-side tests: model construction, gamma mapping, plan extraction."""
 
+import dataclasses
 import itertools
 import math
 
@@ -10,11 +11,12 @@ from hypothesis import strategies as st
 
 from offgrid.config import default_config
 from offgrid.devices import fridge_discretize, fridge_energy
-from offgrid.errors import InfeasiblePlanError
-from offgrid.milp import SolverOptions, solve_milp
+from offgrid.errors import DataError, InfeasiblePlanError
+from offgrid.milp import MilpModel, SolverOptions, check_solution, solve_lp, solve_milp, to_lp_text
 from offgrid.milp.simplex import solve_lp_std
 from offgrid.mpc import (
     ControlCommand,
+    MpcController,
     _build,
     _fallback_command,
     build_mpc_milp,
@@ -22,7 +24,8 @@ from offgrid.mpc import (
     plan,
 )
 from offgrid.plant import PlantState
-from offgrid.scenario import ForecastWindow
+from offgrid.scenario import ForecastWindow, build_scenario
+from offgrid.weather import synthesize_weather
 
 EXACT = SolverOptions(rel_gap_limit=1e-12, time_limit=120.0)
 
@@ -84,16 +87,16 @@ class TestModelShape:
         cfg = small_config(144)
         state = PlantState(e_bat_wh=5400.0, t_fr_c=2.0)
         model = build_mpc_milp(state, forecast(144, g=100.0, e_s=43.0), cfg)
-        binaries = model.binary_indices()
+        binaries = np.flatnonzero(model.is_binary)
         assert len(binaries) == 288                       # u_fr and u_s per step
-        assert model.n_variables - len(binaries) == 720   # gamma, g, zeta, e_bat, t_fr
+        assert model.n - len(binaries) == 720             # gamma, g, zeta, e_bat, t_fr
 
     def test_secondary_bound_forced_to_zero_without_schedule(self):
         cfg = small_config(4)
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
         model = build_mpc_milp(state, forecast(4, g=100.0, e_s=0.0), cfg)
-        lb, ub = model.bounds()
-        names = model.variable_names()
+        ub = model.ub
+        names = model.names
         for j, name in enumerate(names):
             if name.startswith("u_s"):
                 assert ub[j] == 0.0
@@ -108,7 +111,7 @@ class TestModelShape:
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
         model = build_mpc_milp(state, forecast(6, g=0.0), cfg)
         sol = solve_milp(model, EXACT)
-        names = model.variable_names()
+        names = model.names
         for j, name in enumerate(names):
             if name.startswith("gamma"):
                 assert sol.values[j] <= 1e-9
@@ -163,6 +166,21 @@ class TestPlanExtraction:
         assert err.value.dump_path is not None
         assert (tmp_path / err.value.dump_path.split("/")[-1]).exists()
 
+    def test_nan_secondary_forecast_rejected(self):
+        # A NaN e_secondary_wh must not read as "no load scheduled".
+        cfg = small_config(6)
+        weather = synthesize_weather(2, "clear", seed=1, step_hours=cfg.step_hours)
+        scenario = build_scenario(weather, cfg, days=1)
+
+        def noise(fc, k):
+            e_s = fc.e_secondary_wh.copy()
+            e_s[2] = np.nan
+            return ForecastWindow(fc.g_avail_wh, fc.t_house_c, e_s)
+
+        ctl = MpcController(cfg, EXACT, forecast_noise=noise)
+        with pytest.raises(DataError, match="forecast e_secondary_wh is not finite at step 2"):
+            ctl.decide(PlantState(e_bat_wh=3000.0, t_fr_c=2.0), scenario, 0)
+
     def test_fallback_command_rule(self):
         cfg = small_config(4)
         hot = PlantState(e_bat_wh=3000.0, t_fr_c=5.0)
@@ -175,9 +193,8 @@ class TestPlanExtraction:
         assert cmd.u_fr == 0 and cmd.gamma == 0.0
 
 
-def enumeration_objective(model):
-    std = model.standard_form()
-    bins = model.binary_indices()
+def enumeration_objective(std):
+    bins = np.flatnonzero(std.is_binary)
     best = math.inf
     for bits in itertools.product((0.0, 1.0), repeat=len(bins)):
         lo, hi = std.lb.copy(), std.ub.copy()
@@ -213,15 +230,126 @@ class TestAgainstEnumeration:
         """With lambda4 = 0 (and lambda3 = 0 so the linear charge-fraction
         term cannot subsidize discharging), serving the fans only costs
         battery, so the optimum leaves them off."""
-        import dataclasses
-
         cfg = small_config(4)
         cfg = cfg.replace(mpc=dataclasses.replace(cfg.mpc, lambda4=0.0, lambda3=0.0))
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
         model = build_mpc_milp(state, forecast(4, g=0.0, e_s=43.33), cfg)
         sol = solve_milp(model, EXACT)
         assert sol.objective == pytest.approx(enumeration_objective(model), abs=1e-6)
-        names = model.variable_names()
+        names = model.names
         for j, name in enumerate(names):
             if name.startswith("u_s"):
                 assert sol.values[j] == pytest.approx(0.0, abs=1e-9)
+
+
+def build_horizon_reference(e_bat0, t_fr0, forecast, config):
+    """Reference horizon build, one variable and one row dict at a time
+    through `MilpModel`: the layout `_build` must reproduce array for array."""
+    n = len(forecast)
+    p = config.mpc
+    bat = config.battery
+    disc = fridge_discretize(config.fridge, config.step_hours)
+    e_fr = fridge_energy(config.fridge, config.step_hours)
+    ec = bat.e_charge_max_wh
+    g_av = forecast.g_avail_wh
+    t_house = forecast.t_house_c
+    e_s = forecast.e_secondary_wh
+
+    m = MilpModel(name=f"horizon{n}")
+    u_fr = [m.add_variable(f"u_fr[{i}]", 0, 1, binary=True) for i in range(n)]
+    u_s = [m.add_variable(f"u_s[{i}]", 0, 1.0 if e_s[i] > 0 else 0.0, binary=True)
+           for i in range(n)]
+    gamma = [m.add_variable(f"gamma[{i}]", p.gamma_min, p.gamma_max) for i in range(n)]
+    g = [m.add_variable(f"g[{i}]", 0.0, float(g_av[i])) for i in range(n)]
+    zeta = [m.add_variable(f"zeta[{i}]", 0.0, np.inf) for i in range(n)]
+    e_bat = [m.add_variable(f"e_bat[{i}]", bat.e_min_wh, bat.e_max_wh) for i in range(n)]
+    t_fr = [m.add_variable(f"t_fr[{i}]", config.fridge.t_min_c, np.inf) for i in range(n)]
+
+    for i in range(n):
+        w = float(n - i)
+        m.set_objective_coeff(zeta[i], p.lambda1 * w)
+        m.set_objective_coeff(e_bat[i], -p.lambda2 / bat.e_max_wh)
+        m.set_objective_coeff(gamma[i], p.lambda3)
+        if e_s[i] > 0:
+            m.set_objective_coeff(u_s[i], -p.lambda4 * w)
+
+    bq = disc.b * disc.q_fr_w
+    for i in range(n):
+        row = {t_fr[i]: 1.0, u_fr[i]: -bq}
+        rhs = disc.d * float(t_house[i])
+        if i == 0:
+            rhs += disc.a * t_fr0
+        else:
+            row[t_fr[i - 1]] = -disc.a
+        m.add_constraint(row, "=", rhs, name=f"thermal[{i}]")
+
+        row = {e_bat[i]: 1.0, gamma[i]: -p.eta_controller * ec}
+        if i > 0:
+            row[e_bat[i - 1]] = -1.0
+        m.add_constraint(row, "=", e_bat0 if i == 0 else 0.0, name=f"battery[{i}]")
+
+        row = {u_fr[i]: e_fr, gamma[i]: ec, g[i]: -1.0}
+        if e_s[i] > 0:
+            row[u_s[i]] = float(e_s[i])
+        m.add_constraint(row, "=", 0.0, name=f"balance[{i}]")
+
+        m.add_constraint({t_fr[i]: 1.0, zeta[i]: -1.0}, "<=", config.fridge.t_max_c,
+                         name=f"band_up[{i}]")
+    return m
+
+
+def horizon_windows():
+    """(e_bat0, t_fr0, forecast, config) over N in {1, 3, 36, 144}, post-storm
+    and clear weather, and steps 0, 50 and 137 of a one-day scenario."""
+    cfg = default_config()
+    bat = cfg.battery
+    for profile in ("post-storm", "clear"):
+        weather = synthesize_weather(3, profile, seed=1, step_hours=cfg.step_hours)
+        scenario = build_scenario(weather, cfg, days=1)
+        for k, soc, t_fr0 in ((0, 0.5, 2.0), (50, 0.1, 3.7), (137, 1.0, 0.5)):
+            e_bat0 = bat.e_min_wh + soc * (bat.e_max_wh - bat.e_min_wh)
+            for n in (1, 3, 36, 144):
+                yield e_bat0, t_fr0, scenario.forecast(k, n), cfg.replace(horizon_steps=n)
+
+
+def assert_forms_byte_equal(mine, ref):
+    for name in ("c", "b", "lb", "ub", "is_binary"):
+        got, want = getattr(mine, name), getattr(ref, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(mine.a_csc, name), getattr(ref.a_csc, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert mine.a_csc.shape == ref.a_csc.shape
+    assert (mine.name, mine.relations, mine.names, mine.row_names) == \
+        (ref.name, ref.relations, ref.names, ref.row_names)
+    assert to_lp_text(mine) == to_lp_text(ref)
+
+
+class TestHorizonBuild:
+    def test_matches_reference_byte_for_byte(self):
+        windows = list(horizon_windows())
+        assert len(windows) == 24
+        scheduled = empty = 0
+        for e_bat0, t_fr0, fc, cfg in windows:
+            mine, ix = _build(e_bat0, t_fr0, fc, cfg)
+            assert_forms_byte_equal(mine, build_horizon_reference(e_bat0, t_fr0, fc, cfg).standard_form())
+            assert [mine.names[j] for j in ix.u_s] == [f"u_s[{i}]" for i in range(len(fc))]
+            scheduled += int(np.sum(fc.e_secondary_wh > 0))
+            empty += int(np.sum(fc.e_secondary_wh == 0))
+        assert scheduled and empty  # both kinds of u_s column are covered
+
+    def test_zero_weights_match_reference(self):
+        # -lambda4*w and -lambda2/e_max are -0.0 here; the reference drops them.
+        e_bat0, t_fr0, fc, cfg = list(horizon_windows())[6]
+        cfg = cfg.replace(mpc=dataclasses.replace(cfg.mpc, lambda2=0.0, lambda3=0.0, lambda4=0.0))
+        mine, _ = _build(e_bat0, t_fr0, fc, cfg)
+        assert_forms_byte_equal(mine, build_horizon_reference(e_bat0, t_fr0, fc, cfg).standard_form())
+        assert not np.signbit(mine.c).any()
+
+    def test_check_solution_names_the_violated_row(self):
+        state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
+        std = build_mpc_milp(state, forecast(6, g=100.0, e_s=43.33), small_config(6))
+        x = solve_lp(std).x
+        x[std.names.index("g[3]")] += 1.0  # PV drawn but not used: balance[3] breaks
+        report = [v for v in check_solution(std, x) if v.kind == "row"]
+        assert [(v.name, v.index) for v in report] == [("balance[3]", 4 * 3 + 2)]

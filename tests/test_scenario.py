@@ -60,6 +60,15 @@ class TestForecastWindow:
         with pytest.raises(DataError):
             ForecastWindow(np.array([-1.0]), np.array([25.0]), np.array([0.0]))
 
+    @pytest.mark.parametrize("series", [0, 1, 2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected_with_series_and_step(self, series, bad):
+        values = [np.full(4, 10.0), np.full(4, 25.0), np.full(4, 43.0)]
+        values[series][2] = bad
+        name = ("g_avail_wh", "t_house_c", "e_secondary_wh")[series]
+        with pytest.raises(DataError, match=f"forecast {name} is not finite at step 2"):
+            ForecastWindow(*values)
+
 
 class TestBuildScenario:
     def test_covers_window_plus_horizon(self):
