@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic weather")
     p.add_argument("--paper-scale", action="store_true",
                    help="24 h horizon (N=144) and 300 s solver budget instead of the "
-                        "desk-scale 6 h horizon and 2 s budget")
+                        "desk-scale 6 h horizon and 1 s budget")
     p.add_argument("-v", "--verbose", action="store_true")
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -98,13 +98,13 @@ def _add_run_args(p: argparse.ArgumentParser) -> None:
 
 def _load_config(args) -> SystemConfig:
     cfg = load_config(args.config) if args.config else default_config()
-    horizon = args.horizon if getattr(args, "horizon", None) else (
+    horizon = args.horizon if getattr(args, "horizon", None) is not None else (
         PAPER_HORIZON if args.paper_scale else DESK_HORIZON)
     return cfg.replace(horizon_steps=horizon)
 
 
 def _solver_options(args) -> SolverOptions:
-    limit = args.time_limit if args.time_limit else (
+    limit = args.time_limit if args.time_limit is not None else (
         PAPER_TIME_LIMIT_S if args.paper_scale else DESK_TIME_LIMIT_S)
     return SolverOptions(rel_gap_limit=args.gap, time_limit=limit)
 

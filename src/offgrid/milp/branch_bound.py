@@ -44,9 +44,9 @@ class SolverOptions:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if self.rel_gap_limit <= 0:
+        if not self.rel_gap_limit > 0:
             raise MilpError("rel_gap_limit must be positive")
-        if self.time_limit <= 0:
+        if not self.time_limit > 0:
             raise MilpError("time_limit must be positive")
         if self.node_limit is not None and self.node_limit <= 0:
             raise MilpError("node_limit must be positive")

@@ -43,8 +43,7 @@ class Violation:
 class StandardForm:
     """Arrays of a model: the constraint matrix A as CSC (`a_csc`), with no
     stored zeros. Each row gets one slack whose bounds encode the relation;
-    slack and artificial columns are identity columns, so the solver keeps
-    them implicit."""
+    the solver works on [A | I] and keeps the slack columns I implicit."""
 
     name: str
     c: np.ndarray

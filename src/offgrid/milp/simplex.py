@@ -1,21 +1,23 @@
 """Bounded-variable revised simplex used for all LP relaxations.
 
 Rows are turned into equalities with one slack each (bounds encode the
-relation), so variable bounds never become explicit rows. Infeasible starting
-residuals are absorbed by per-row artificial variables driven out in a
-phase-1 minimization. Slack and artificial columns are identity columns and
-stay implicit: only the structural matrix is stored, in sparse form. The basis
-inverse is a sparse LU factorization (SuperLU) plus a product-form eta file,
-refreshed every few dozen pivots; the crash basis is the identity, so the
-first factorization waits for the first refresh.
+relation), so variable bounds never become explicit rows. The slack columns
+are the identity and stay implicit: only the structural matrix A is stored,
+in sparse form, and the LP is solved over [A | I]. The basis inverse is a
+sparse LU factorization (SuperLU) plus a product-form eta file, refreshed
+every few dozen pivots.
 
+Every LP takes one path: a bounded dual simplex drives the basic variables
+into their bounds, then the primal simplex cleans up any dual infeasibility
+left. A cold LP starts from the all-slack basis, whose factor is the
+identity, with each structural at the bound its cost favours. That start is
+dual feasible, except for costs whose sign no finite bound fits; the dual
+simplex runs with those costs zeroed, and the primal simplex restores them.
 An LP that differs from an already solved one only in its variable bounds
-(a branch-and-bound child, a round-and-fix LP) starts from that LP's optimal
-basis instead: the nonbasic variables go to their new bounds, the basis is
-factorized, and a bounded dual simplex drives the basic variables back into
-their bounds. Changing bounds keeps an optimal basis dual feasible, so no
-phase 1 is needed; the primal phase 2 then cleans up any dual infeasibility
-left at rounding level.
+(a branch-and-bound child, a round-and-fix LP) starts instead from that LP's
+optimal basis, with the nonbasic variables at their new bounds; changing
+bounds keeps an optimal basis dual feasible. Either way an infeasible LP is
+proven by a dual ratio test that finds no entering column.
 
 Pivoting is deterministic: Dantzig pricing (largest reduced cost, lowest
 index on ties), switching to Bland's rule after a run of degenerate steps.
@@ -26,7 +28,7 @@ smallest dual ratio, lowest index on ties.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csc_matrix
@@ -36,7 +38,7 @@ from .model import MilpModel, StandardForm, as_standard_form
 
 AT_LB, AT_UB, FREE, BASIC = 0, 1, 2, 3
 
-FEASIBILITY_TOL = 1e-7  # phase-1 infeasibility accepted as feasible
+FEASIBILITY_TOL = 1e-7  # row or bound excess a seed may carry; LP solutions and plans 10x
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -51,7 +53,7 @@ class _Trouble(Exception):
 @dataclass(frozen=True)
 class Basis:
     """A final simplex basis: the basic column of each row, and the status
-    (AT_LB, AT_UB, FREE or BASIC) of every column of [A | I | I]."""
+    (AT_LB, AT_UB, FREE or BASIC) of every column of [A | I]."""
 
     rows: np.ndarray
     status: np.ndarray
@@ -65,7 +67,6 @@ class LpResult:
     status: str
     x: np.ndarray | None
     objective: float
-    duals: np.ndarray | None
     iterations: int
     message: str = ""
     basis: Basis | None = None
@@ -97,13 +98,13 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
         result.iterations += iterations
         return result
     except _Trouble as exc:
-        return LpResult(NUMERICAL, None, math.nan, None,
+        return LpResult(NUMERICAL, None, math.nan,
                         iterations + getattr(exc, "iterations", 0), str(exc))
 
 
 class _IdentityFactor:
-    """Factor of the crash basis: every row's slack or artificial, whose
-    columns are the identity, so solving with it is a copy."""
+    """Factor of the all-slack basis, whose columns are the identity, so
+    solving with it is a copy."""
 
     @staticmethod
     def solve(v: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -121,9 +122,10 @@ class _BoundedSimplex:
                  start: Basis | None = None):
         self.std = std
         self.m, self.n = std.m, std.n
-        self.nt = self.n + 2 * self.m
+        self.nt = self.n + self.m
         self.A = std.a_csc
         self.b = std.b
+        self.c = np.concatenate([std.c, np.zeros(self.m)])
         self.max_iter = 10_000 + 20 * self.nt
         self.bland_base = bland
         self.bland = bland
@@ -131,51 +133,37 @@ class _BoundedSimplex:
         self.iterations = 0
         self.degen_streak = 0
 
-        self.lb = np.concatenate([lb, std.slack_lb, np.zeros(self.m)])
-        self.ub = np.concatenate([ub, std.slack_ub, np.zeros(self.m)])
+        self.lb = np.concatenate([lb, std.slack_lb])
+        self.ub = np.concatenate([ub, std.slack_ub])
         if np.any(self.lb[: self.n] > self.ub[: self.n]):
             raise _Trouble("crossed variable bounds")
 
-        self.x = np.where(np.isfinite(self.lb), self.lb,
-                          np.where(np.isfinite(self.ub), self.ub, 0.0))
-        self.status = np.where(np.isfinite(self.lb), AT_LB,
-                               np.where(np.isfinite(self.ub), AT_UB, FREE)).astype(int)
-        self.basis = np.zeros(self.m, dtype=int)
-        self.phase1_cost = np.zeros(self.nt)
         self.lu = _IdentityFactor()
         self.etas: list[tuple[int, np.ndarray]] = []
-        self._needs_phase1 = False
-        self.warm = start is not None
-        if self.warm:
-            self._load_basis(start)
+        if start is None:
+            self.c_dual = self._slack_basis()
         else:
-            self._crash_basis()
+            self._load_basis(start)
+            self.c_dual = self.c
 
     # -- setup --------------------------------------------------------------
 
-    def _crash_basis(self) -> None:
-        """All-slack start; rows a slack cannot absorb get a signed artificial.
-        Either way row i's basic column is the unit column e_i."""
+    def _slack_basis(self) -> np.ndarray:
+        """All-slack start: each structural at its upper bound if its cost is
+        negative or it has no lower bound, else at its lower bound, else free
+        at 0. Returns the costs the dual simplex runs on: the true ones, zeroed
+        where no finite bound fits the cost's sign."""
         n, m = self.n, self.m
-        if m == 0:
-            return
-        rows = np.arange(m)
-        slack_lb, slack_ub = self.lb[n:n + m], self.ub[n:n + m]
-        r = self.b - self.A @ self.x[:n]
-        absorbed = np.clip(r, slack_lb, slack_ub)
-        resid = r - absorbed
-        short = ~(np.abs(resid) <= 1e-12)
-        self.x[n:n + m] = np.where(short, absorbed, r)
-        self.status[n:n + m] = np.where(short, np.where(absorbed == slack_lb, AT_LB, AT_UB), BASIC)
-        self.basis[:] = np.where(short, n + m + rows, n + rows)
-        arts = n + m + rows[short]
-        up = resid[short] >= 0
-        self.lb[arts] = np.where(up, 0.0, -math.inf)
-        self.ub[arts] = np.where(up, math.inf, 0.0)
-        self.phase1_cost[arts] = np.where(up, 1.0, -1.0)
-        self.x[arts] = resid[short]
-        self.status[arts] = BASIC
-        self._needs_phase1 = bool(short.any())
+        lb, ub, c = self.lb[:n], self.ub[:n], self.std.c
+        at_ub = np.isfinite(ub) & ((c < 0) | ~np.isfinite(lb))
+        at_lb = ~at_ub & np.isfinite(lb)
+        self.basis = n + np.arange(m)
+        self.status = np.concatenate([np.where(at_ub, AT_UB, np.where(at_lb, AT_LB, FREE)),
+                                      np.full(m, BASIC)])
+        x = np.where(at_ub, ub, np.where(at_lb, lb, 0.0))
+        self.x = np.concatenate([x, self.b - self.A @ x])
+        fits = np.where(at_ub, c <= 0, np.where(at_lb, c >= 0, c == 0))
+        return np.concatenate([np.where(fits, c, 0.0), np.zeros(m)])
 
     def _load_basis(self, start: Basis) -> None:
         """Start from a previous optimal basis: nonbasic variables at their
@@ -190,26 +178,25 @@ class _BoundedSimplex:
     # -- basis inverse maintenance ------------------------------------------
 
     def _ext_matvec(self, x: np.ndarray) -> np.ndarray:
-        """[A | I | I] @ x over structural, slack and artificial parts."""
-        n, m = self.n, self.m
-        return self.A @ x[:n] + x[n:n + m] + x[n + m:]
+        """[A | I] @ x over structural and slack parts."""
+        return self.A @ x[: self.n] + x[self.n:]
 
     def _ext_rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """[A | I | I]^T @ y."""
-        return np.concatenate([self.std.a_t @ y, y, y])
+        """[A | I]^T @ y."""
+        return np.concatenate([self.std.a_t @ y, y])
 
     def _column(self, j: int) -> np.ndarray:
-        """Dense copy of column j of [A | I | I]."""
+        """Dense copy of column j of [A | I]."""
         col = np.zeros(self.m)
         if j < self.n:
             lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
             col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
         else:
-            col[(j - self.n) % self.m] = 1.0
+            col[j - self.n] = 1.0
         return col
 
     def _basis_matrix(self) -> csc_matrix:
-        """The basis columns of [A | I | I], gathered by index into a CSC matrix."""
+        """The basis columns of [A | I], gathered by index into a CSC matrix."""
         n, m = self.n, self.m
         indptr = self.A.indptr
         struct = self.basis < n
@@ -223,7 +210,7 @@ class _BoundedSimplex:
         src = np.repeat(indptr[sb] - ptr[:-1][struct], counts[struct]) + np.flatnonzero(in_struct)
         rows = np.empty(ptr[-1], dtype=np.int64)
         rows[in_struct] = self.A.indices[src]
-        rows[~in_struct] = (self.basis[~struct] - n) % m
+        rows[~in_struct] = self.basis[~struct] - n
         vals = np.ones(ptr[-1])
         vals[in_struct] = self.A.data[src]
         return csc_matrix((vals, rows, ptr), shape=(m, m))
@@ -273,13 +260,10 @@ class _BoundedSimplex:
 
     # -- core iteration -----------------------------------------------------
 
-    def _iterate(self, c: np.ndarray, phase: int) -> str:
+    def _iterate(self, c: np.ndarray) -> str:
+        """Primal simplex from a basis within its bounds."""
         m = self.m
         while True:
-            if phase == 1:
-                infeas = self.phase1_cost @ self.x
-                if infeas <= 1e-11:
-                    return OPTIMAL
             if self.iterations >= self.max_iter:
                 raise self._trouble("iteration limit exceeded")
             self.iterations += 1
@@ -320,8 +304,6 @@ class _BoundedSimplex:
             t_bound = self.ub[j] - self.lb[j]
             t = min(t_basic, t_bound)
             if not math.isfinite(t):
-                if phase == 1:
-                    raise self._trouble("unbounded phase-1 direction")
                 return UNBOUNDED
 
             if t_bound <= t_basic:
@@ -368,7 +350,7 @@ class _BoundedSimplex:
                 raise self._trouble("iteration limit exceeded")
             self.iterations += 1
 
-            # Row r of B^-1 [A | I | I]; s = +1 when x_p, the basic variable of
+            # Row r of B^-1 [A | I]; s = +1 when x_p, the basic variable of
             # row r, must rise to its lower bound, -1 when it must fall to its
             # upper bound.
             e_r = np.zeros(self.m)
@@ -408,30 +390,15 @@ class _BoundedSimplex:
     def solve(self) -> LpResult:
         if self.m == 0:
             return self._solve_unconstrained()
-        c2 = np.concatenate([self.std.c, np.zeros(2 * self.m)])
-        if self._needs_phase1:
-            self._iterate(self.phase1_cost, phase=1)
-            infeas = float(self.phase1_cost @ self.x)
-            if infeas > FEASIBILITY_TOL:
-                return LpResult(INFEASIBLE, None, math.nan, None, self.iterations,
-                                f"phase-1 infeasibility {infeas:.3e}")
-            arts = slice(self.n + self.m, self.nt)
-            self.lb[arts] = 0.0
-            self.ub[arts] = 0.0
-            nonbasic_art = (self.status[arts] != BASIC)
-            self.x[np.arange(self.n + self.m, self.nt)[nonbasic_art]] = 0.0
-        elif self.warm and not self._dual(c2):
-            return LpResult(INFEASIBLE, None, math.nan, None, self.iterations,
+        if not self._dual(self.c_dual):
+            return LpResult(INFEASIBLE, None, math.nan, self.iterations,
                             "dual simplex: a basic variable cannot reach its bounds")
-        status = self._iterate(c2, phase=2)
-        if status == UNBOUNDED:
-            return LpResult(UNBOUNDED, None, -math.inf, None, self.iterations,
+        if self._iterate(self.c) == UNBOUNDED:
+            return LpResult(UNBOUNDED, None, -math.inf, self.iterations,
                             "objective unbounded below")
         self._verify()
         x_struct = self.x[: self.n].copy()
-        objective = float(self.std.c @ x_struct)
-        duals = self._btran(c2[self.basis])
-        return LpResult(OPTIMAL, x_struct, objective, duals, self.iterations,
+        return LpResult(OPTIMAL, x_struct, float(self.std.c @ x_struct), self.iterations,
                         basis=Basis(self.basis.copy(), self.status.copy()))
 
     def _solve_unconstrained(self) -> LpResult:
@@ -439,9 +406,9 @@ class _BoundedSimplex:
         x = np.where(c > 0, self.lb[: self.n],
                      np.where(c < 0, self.ub[: self.n], self.x[: self.n]))
         if np.any(~np.isfinite(x) & (np.abs(c) > 0)):
-            return LpResult(UNBOUNDED, None, -math.inf, None, 0, "free improving variable")
+            return LpResult(UNBOUNDED, None, -math.inf, 0, "free improving variable")
         x = np.where(np.isfinite(x), x, 0.0)
-        return LpResult(OPTIMAL, x, float(c @ x), np.zeros(0), 0)
+        return LpResult(OPTIMAL, x, float(c @ x), 0)
 
     def _verify(self) -> None:
         resid = self._ext_matvec(self.x) - self.b

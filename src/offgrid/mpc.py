@@ -28,8 +28,8 @@ cache: the build is under 1 % of a plan.
 from __future__ import annotations
 
 import logging
+import os
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -278,8 +278,8 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
        (late service carries the smallest reward under the (N-i) weights);
     2. serve-first-K: serve only the first K scheduled steps of the window,
        for a ladder of K values and both fridge/fans priorities - the shape
-       the time-varying weights actually favor under scarcity;
-    3. serve-everything and fridge-only rollouts as cheap fallbacks.
+       the time-varying weights actually favor under scarcity; K = 0 is the
+       fridge-only rollout and K = all the serve-everything one.
     """
     n = len(forecast)
     seeds: list[np.ndarray] = []
@@ -311,15 +311,6 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
                                   fridge_priority=priority)
             if out is not None:
                 seeds.append(out[0])
-
-    all_on = np.ones(n, dtype=bool)
-    out = _greedy_rollout(e_bat0, t_fr0, forecast, config, indices, all_on,
-                          fridge_priority=False)
-    if out is not None:
-        seeds.append(out[0])
-    out = _greedy_rollout(e_bat0, t_fr0, forecast, config, indices, all_on)
-    if out is not None:
-        seeds.append(out[0])
     return seeds
 
 
@@ -356,7 +347,10 @@ def plan(state: "PlantState", forecast: ForecastWindow, config: SystemConfig,
 
     if solution.status == "Infeasible":
         directory = Path(dump_dir) if dump_dir else Path(tempfile.gettempdir())
-        dump = dump_lp(std, directory / f"infeasible_{int(time.time())}.lp")
+        directory.mkdir(parents=True, exist_ok=True)
+        fd, name = tempfile.mkstemp(prefix="infeasible_", suffix=".lp", dir=directory)
+        os.close(fd)
+        dump = dump_lp(std, name)
         raise InfeasiblePlanError(
             f"horizon problem infeasible (dump: {dump})", dump_path=str(dump))
     if solution.status in ("Unbounded", "NumericalFailure"):

@@ -87,6 +87,15 @@ class TestSimulate:
         assert "error:" in err and "house.csv: short row at line 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,value", [("--time-limit", "0"), ("--time-limit", "nan"),
+                                            ("--horizon", "0")])
+    def test_bad_solver_limit_fails_with_message(self, tmp_path, capsys, flag, value):
+        code = run("--out", tmp_path, "simulate", "--days", "0.5", "--profile", "clear",
+                   flag, value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+
     def test_synthetic_fallback_when_no_weather_given(self, tmp_path):
         out = tmp_path / "runs"
         code = run("--out", out, "simulate", "--controller", "baseline",

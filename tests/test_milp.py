@@ -12,7 +12,17 @@ from offgrid.errors import MilpError
 from offgrid.milp import EQ, GE, LE, MilpModel, SolverOptions, check_solution, solve_lp, solve_milp
 from offgrid.milp.model import Violation, as_standard_form
 import offgrid.milp.branch_bound
-from offgrid.milp.simplex import AT_LB, AT_UB, BASIC, FREE, Basis, _BoundedSimplex, _Trouble, solve_lp_std
+from offgrid.milp.simplex import (
+    AT_LB,
+    AT_UB,
+    BASIC,
+    FREE,
+    Basis,
+    _BoundedSimplex,
+    _IdentityFactor,
+    _Trouble,
+    solve_lp_std,
+)
 from offgrid.mpc import build_mpc_milp
 from offgrid.plant import PlantState
 from offgrid.scenario import build_scenario
@@ -50,6 +60,24 @@ def random_model(rng, n_bin, n_cont, n_rows, anchor=True):
         else:
             rhs = float(rng.normal(0, 3))
         m.add_constraint(coeffs, rel, rhs)
+    return m
+
+
+def mixed_bounds_model(rng):
+    """Random LP whose variables mix two-sided, lower-only, upper-only and
+    free bounds, so it may be optimal, infeasible or unbounded."""
+    m = MilpModel()
+    n = int(rng.integers(2, 12))
+    for j in range(n):
+        lo, hi = sorted(rng.uniform(-5, 5, 2))
+        kind = rng.integers(0, 4)
+        m.add_variable(f"x{j}", lo if kind in (0, 1) else -math.inf,
+                       hi if kind in (0, 2) else math.inf)
+    m.set_objective({j: float(rng.integers(-5, 6)) for j in range(n)})
+    for _ in range(int(rng.integers(1, n + 2))):
+        idx = rng.choice(n, size=int(rng.integers(1, min(n, 4) + 1)), replace=False)
+        m.add_constraint({int(j): float(rng.integers(-5, 6)) or 1.0 for j in idx},
+                         str(rng.choice([LE, GE, EQ])), float(rng.normal(0, 3)))
     return m
 
 
@@ -91,7 +119,7 @@ def lp_vertex_oracle(model):
 def linprog_oracle(model, lb=None, ub=None):
     """Independent LP oracle: HiGHS through scipy.optimize.linprog, over the
     model's bounds or the given ones. Returns (status, objective) with status
-    "optimal" or "infeasible"."""
+    "optimal", "infeasible" or "unbounded"."""
     std = as_standard_form(model)
     lb = std.lb if lb is None else lb
     ub = std.ub if ub is None else ub
@@ -109,8 +137,10 @@ def linprog_oracle(model, lb=None, ub=None):
                         np.where(np.isfinite(ub), ub, None))),
         method="highs",
     )
-    assert res.status in (0, 2), res.message
-    return ("optimal", float(res.fun)) if res.status == 0 else ("infeasible", None)
+    assert res.status in (0, 2, 3), res.message
+    if res.status == 0:
+        return "optimal", float(res.fun)
+    return ("infeasible" if res.status == 2 else "unbounded"), None
 
 
 def horizon_model(profile, n, soc):
@@ -144,35 +174,6 @@ def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
     return out
 
 
-def crash_basis_loop(std, lb, ub):
-    """Reference crash, one row at a time: (basis, x, status, lb, ub,
-    phase1_cost) of the all-slack start with signed artificials."""
-    n, m = std.n, std.m
-    lb = np.concatenate([lb, std.slack_lb, np.zeros(m)])
-    ub = np.concatenate([ub, std.slack_ub, np.zeros(m)])
-    x = np.where(np.isfinite(lb), lb, np.where(np.isfinite(ub), ub, 0.0))
-    status = np.where(np.isfinite(lb), AT_LB, np.where(np.isfinite(ub), AT_UB, FREE)).astype(int)
-    basis = np.zeros(m, dtype=int)
-    cost = np.zeros(n + 2 * m)
-    r = std.b - std.a_csc @ x[:n]
-    for i in range(m):
-        s = n + i
-        absorbed = min(max(r[i], lb[s]), ub[s])
-        if abs(r[i] - absorbed) <= 1e-12:
-            basis[i], x[s], status[s] = s, r[i], BASIC
-            continue
-        x[s] = absorbed
-        status[s] = AT_LB if absorbed == lb[s] else AT_UB
-        a = n + m + i
-        resid = r[i] - absorbed
-        if resid >= 0:
-            lb[a], ub[a], cost[a] = 0.0, math.inf, 1.0
-        else:
-            lb[a], ub[a], cost[a] = -math.inf, 0.0, -1.0
-        x[a], status[a], basis[i] = resid, BASIC, a
-    return basis, x, status, lb, ub, cost
-
-
 def milp_enum_oracle(model):
     """Exhaustive oracle: LP for every binary assignment, best value wins."""
     std = model.standard_form()
@@ -198,7 +199,6 @@ class TestSolveLp:
         assert r.status == "optimal"
         assert r.objective == pytest.approx(3.0)
         assert r.x[0] == pytest.approx(3.0)
-        assert r.duals is not None and r.duals[0] == pytest.approx(1.0)
 
     def test_two_variable_facet(self):
         m = MilpModel()
@@ -292,6 +292,19 @@ class TestLinprogOracle:
             seen.add(status)
         assert seen == {"optimal", "infeasible"}
 
+    def test_mixed_bound_lps_match_highs(self):
+        rng = np.random.default_rng(77)
+        seen = set()
+        for trial in range(400):
+            m = mixed_bounds_model(rng)
+            mine = solve_lp(m)
+            status, objective = linprog_oracle(m)
+            assert mine.status == status, f"trial {trial}"
+            if status == "optimal":
+                assert mine.objective == pytest.approx(objective, rel=1e-7, abs=1e-7), f"trial {trial}"
+            seen.add(status)
+        assert seen == {"optimal", "infeasible", "unbounded"}
+
     def test_horizon_root_lp_is_deterministic(self):
         model = horizon_model("clear", 144, 1.0)
         first, second = solve_lp(model), solve_lp(model)
@@ -299,23 +312,55 @@ class TestLinprogOracle:
         assert first.iterations == second.iterations
 
 
-class TestCrashBasis:
-    def test_matches_loop_reference_bit_for_bit(self):
+class TestSlackBasis:
+    def test_slacks_basic_structurals_at_favoured_bound(self):
         rng = np.random.default_rng(8)
-        models = [horizon_model("post-storm", 36, 0.5), horizon_model("clear", 144, 1.0)]
-        models += [random_model(rng, int(rng.integers(0, 4)), int(rng.integers(1, 30)),
-                                int(rng.integers(1, 20)), anchor=bool(rng.integers(0, 2)))
-                   for _ in range(40)]
-        with_artificials = 0
+        models = [random_model(rng, int(rng.integers(0, 4)), int(rng.integers(1, 30)),
+                               int(rng.integers(1, 20)), anchor=bool(rng.integers(0, 2)))
+                  for _ in range(40)]
+        models += [mixed_bounds_model(rng) for _ in range(40)]
+        shifted = 0
         for model in models:
             std = as_standard_form(model)
+            n, m = std.n, std.m
             engine = _BoundedSimplex(std, std.lb, std.ub)
-            got = (engine.basis, engine.x, engine.status, engine.lb, engine.ub, engine.phase1_cost)
-            for mine, ref in zip(got, crash_basis_loop(std, std.lb, std.ub)):
-                assert mine.dtype == ref.dtype and mine.tobytes() == ref.tobytes()
-            assert engine._needs_phase1 == bool(np.any(engine.basis >= std.n + std.m))
-            with_artificials += engine._needs_phase1
-        assert 0 < with_artificials < len(models)
+            assert engine.basis.tolist() == list(range(n, n + m))
+            assert np.all(engine.status[n:] == BASIC)
+            assert isinstance(engine.lu, _IdentityFactor)
+            has_lb, has_ub = np.isfinite(std.lb), np.isfinite(std.ub)
+            for j in range(n):
+                c, status, x = std.c[j], engine.status[j], engine.x[j]
+                if has_ub[j] and (c < 0 or not has_lb[j]):
+                    assert (status, x) == (AT_UB, std.ub[j])
+                elif has_lb[j]:
+                    assert (status, x) == (AT_LB, std.lb[j])
+                else:
+                    assert (status, x) == (FREE, 0.0)
+            assert np.allclose(engine.x[n:], std.b - std.a_csc @ engine.x[:n])
+            # The slack basis prices every column at its cost: the shifted
+            # costs must be dual feasible for each nonbasic status.
+            d = engine.c_dual[:n]
+            assert np.all(d[engine.status[:n] == AT_LB] >= 0)
+            assert np.all(d[engine.status[:n] == AT_UB] <= 0)
+            assert np.all(d[engine.status[:n] == FREE] == 0)
+            changed = engine.c_dual != engine.c
+            assert np.all(engine.c_dual[changed] == 0)
+            shifted += bool(changed.any())
+        assert 0 < shifted < len(models)
+
+    @pytest.mark.parametrize("profile,n,soc", [("post-storm", 36, 0.5), ("clear", 144, 1.0)])
+    def test_horizon_forms_need_no_cost_shift(self, profile, n, soc):
+        std = as_standard_form(horizon_model(profile, n, soc))
+        engine = _BoundedSimplex(std, std.lb, std.ub)
+        assert engine.c_dual.tobytes() == engine.c.tobytes()
+
+
+class TestSolverOptions:
+    @pytest.mark.parametrize("field", ["rel_gap_limit", "time_limit"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+    def test_rejects_non_positive_and_nan_limits(self, field, value):
+        with pytest.raises(MilpError, match=f"{field} must be positive"):
+            SolverOptions(**{field: value})
 
 
 NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from offgrid.mpc import (
     MpcController,
     _build,
     _fallback_command,
+    _greedy_rollout,
+    _greedy_seeds,
     build_mpc_milp,
     gamma_to_discrete,
     plan,
@@ -165,6 +168,25 @@ class TestPlanExtraction:
             plan(state, forecast(3, g=0.0, t_house=-20.0), cfg, EXACT, dump_dir=tmp_path)
         assert err.value.dump_path is not None
         assert (tmp_path / err.value.dump_path.split("/")[-1]).exists()
+
+    def test_infeasible_dumps_keep_one_file_per_plan(self, tmp_path):
+        # Two infeasible plans into one directory, within the same second,
+        # must not overwrite each other's dump.
+        cfg = small_config(3)
+        fc = forecast(3, g=0.0, t_house=-20.0)
+        dumps = []
+        for t_fr0 in (-10.0, -12.0):
+            with pytest.raises(InfeasiblePlanError) as err:
+                plan(PlantState(e_bat_wh=3000.0, t_fr_c=t_fr0), fc, cfg, EXACT, dump_dir=tmp_path)
+            dumps.append(Path(err.value.dump_path))
+        assert sorted(tmp_path.iterdir()) == sorted(dumps) and dumps[0] != dumps[1]
+        thermal = []
+        for t_fr0, dump in zip((-10.0, -12.0), dumps):
+            std, _ix = _build(3000.0, t_fr0, fc, cfg)
+            text = dump.read_text()
+            assert text == to_lp_text(std)
+            thermal.append(next(line for line in text.splitlines() if "thermal[0]:" in line))
+        assert thermal[0] != thermal[1]
 
     def test_nan_secondary_forecast_rejected(self):
         # A NaN e_secondary_wh must not read as "no load scheduled".
@@ -345,6 +367,23 @@ class TestHorizonBuild:
         mine, _ = _build(e_bat0, t_fr0, fc, cfg)
         assert_forms_byte_equal(mine, build_horizon_reference(e_bat0, t_fr0, fc, cfg).standard_form())
         assert not np.signbit(mine.c).any()
+
+    def test_seeds_include_both_all_on_rollouts(self):
+        # K = every scheduled step is the serve-everything rollout, so the
+        # ladder of serve-first-K seeds already holds both all-on rollouts.
+        checked = 0
+        for e_bat0, t_fr0, fc, cfg in horizon_windows():
+            if len(fc) > 36:
+                continue
+            _std, ix = _build(e_bat0, t_fr0, fc, cfg)
+            seeds = {seed.tobytes() for seed in _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)}
+            all_on = np.ones(len(fc), dtype=bool)
+            for priority in (True, False):
+                out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, all_on, fridge_priority=priority)
+                if out is not None:
+                    assert out[0].tobytes() in seeds
+                    checked += 1
+        assert checked >= 12
 
     def test_check_solution_names_the_violated_row(self):
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
