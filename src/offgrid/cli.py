@@ -13,12 +13,13 @@ import concurrent.futures
 import csv
 import dataclasses
 import logging
+import math
 import sys
 from pathlib import Path
 
 from . import __version__
 from .config import SystemConfig, default_config, load_config, save_config
-from .errors import OffgridError
+from .errors import ConfigError, OffgridError
 from .metrics import ResiliencyMetrics, compute_metrics, save_metrics
 from .milp import SolverOptions
 from .plant import SimulationTrace, run_closed_loop
@@ -110,10 +111,12 @@ def _solver_options(args) -> SolverOptions:
 
 
 def _scenario(args, cfg: SystemConfig):
+    if not (math.isfinite(args.days) and args.days > 0):
+        raise ConfigError(f"--days must be a positive finite number, got {args.days}")
     if args.weather:
         weather = parse_weather_csv(args.weather, cfg.step_hours)
     else:
-        weather = synthesize_weather(int(max(1, round(args.days))), args.profile,
+        weather = synthesize_weather(math.ceil(args.days), args.profile,
                                      seed=args.seed, step_hours=cfg.step_hours)
         log.info("synthesized %s weather for %.1f days (seed %d)",
                  args.profile, args.days, args.seed)

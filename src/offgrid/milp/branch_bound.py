@@ -3,12 +3,13 @@
 Nodes are solved eagerly and kept on a min-heap keyed by their LP relaxation
 value, so the popped bound is always the proven global lower bound; the
 relative gap against the incumbent is therefore meaningful at every step.
-Branching picks the most fractional binary (ties to the lowest index), and a
-cheap round-and-fix heuristic is run at the root and every HEURISTIC_INTERVAL
-nodes to obtain incumbents early. Each heap entry keeps its LP's optimal
-basis: both children of a node and the round-fix LP at that node differ from
-it only in bounds, so they reoptimize from it with the dual simplex instead
-of starting cold. Terminal status:
+Branching picks the most fractional binary (ties to the lowest index). The
+incumbent starts as the best seed that passes the audit; only when none does
+is a round-and-fix LP solved, once, at the root, with every binary fixed at
+its rounded root value. Each heap entry keeps its LP's optimal basis: both
+children of a node, and the root's round-fix LP, differ from it only in
+bounds, so they reoptimize from it with the dual simplex instead of starting
+cold. Terminal status:
 
   Optimal   - the tree is exhausted (or the bound meets the incumbent).
   GapLimit  - the relative gap reached rel_gap_limit with open nodes left.
@@ -31,7 +32,6 @@ from .model import MilpModel, StandardForm, as_standard_form, check_solution
 from .simplex import FEASIBILITY_TOL, INFEASIBLE, OPTIMAL, UNBOUNDED, Basis, solve_lp_std
 
 GAP_DENOM_FLOOR = 1e-10
-HEURISTIC_INTERVAL = 25
 INTEGRALITY_TOL = 1e-6  # a binary this close to 0 or 1 counts as integral
 
 
@@ -157,27 +157,18 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             incumbent_x = x.copy()
             incumbent_obj = obj
 
-    def round_fix_heuristic(x: np.ndarray, lb: np.ndarray, ub: np.ndarray,
-                            basis: Basis) -> None:
-        """Fix every binary at its rounded LP value and re-solve the LP from
-        the basis that gave `x`."""
-        nonlocal total_iters
-        if bin_idx.size == 0:
-            return
-        lo, hi = lb.copy(), ub.copy()
-        rounded = np.clip(np.round(x[bin_idx]), lb[bin_idx], ub[bin_idx])
-        lo[bin_idx] = rounded
-        hi[bin_idx] = rounded
-        res = solve_lp_std(std, lo, hi, start=basis)
-        total_iters += res.iterations
-        if res.status == OPTIMAL:
-            try_incumbent(res.x, res.objective)
-
     if is_integral(root.x):
         try_incumbent(root.x, root.objective)
         return done("Optimal", incumbent_obj)
 
-    round_fix_heuristic(root.x, std.lb, std.ub, root.basis)
+    if incumbent_x is None:
+        # No seed passed the audit: round and fix.
+        lo, hi = std.lb.copy(), std.ub.copy()
+        lo[bin_idx] = hi[bin_idx] = np.clip(np.round(root.x[bin_idx]), lo[bin_idx], hi[bin_idx])
+        res = solve_lp_std(std, lo, hi, start=root.basis)
+        total_iters += res.iterations
+        if res.status == OPTIMAL:
+            try_incumbent(res.x, res.objective)
 
     seq = 0
     heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, Basis]] = []
@@ -197,11 +188,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             return done("TimeLimit", global_bound, "wall-clock limit reached")
         if options.node_limit is not None and nodes >= options.node_limit:
             return done("TimeLimit", global_bound, "node budget exhausted")
-
-        if nodes % HEURISTIC_INTERVAL == 0:
-            round_fix_heuristic(x_lp, lb, ub, basis)
-            if incumbent_x is not None and bound >= incumbent_obj - 1e-9:
-                return done("Optimal", incumbent_obj)
 
         fracs = np.abs(x_lp[bin_idx] - np.round(x_lp[bin_idx]))
         j = int(bin_idx[int(np.argmax(np.minimum(fracs, 1.0 - fracs)))])

@@ -280,6 +280,10 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
        for a ladder of K values and both fridge/fans priorities - the shape
        the time-varying weights actually favor under scarcity; K = 0 is the
        fridge-only rollout and K = all the serve-everything one.
+
+    Each distinct rollout is returned once, first copy kept: rungs often
+    coincide (both priorities agree while energy suffices), and solve_milp
+    keeps the first of equal seeds, so later copies would only be audited.
     """
     n = len(forecast)
     seeds: list[np.ndarray] = []
@@ -311,7 +315,10 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
                                   fridge_priority=priority)
             if out is not None:
                 seeds.append(out[0])
-    return seeds
+    distinct: dict[bytes, np.ndarray] = {}
+    for seed in seeds:
+        distinct.setdefault(seed.tobytes(), seed)
+    return list(distinct.values())
 
 
 def _fallback_command(state: "PlantState", forecast: ForecastWindow,

@@ -102,6 +102,20 @@ class TestSimulate:
                    "--days", "0.5", "--profile", "clear")
         assert code == 0
 
+    def test_fractional_days_synthesize_enough_weather(self, tmp_path):
+        # 2.4 days need 57.7 h of weather; rounding to 2 days gave only 48 h.
+        out = tmp_path / "runf"
+        code = run("--out", out, "simulate", "--controller", "baseline", "--days", "2.4")
+        assert code == 0
+        assert len(read_trace_csv(out / "trace.csv")) == 346
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_days_fails_with_message(self, tmp_path, capsys, value):
+        code = run("--out", tmp_path, "simulate", "--controller", "baseline", "--days", value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--days" in err and "Traceback" not in err
+
 
 class TestCompare:
     def test_emits_two_metric_rows(self, tmp_path, weather_csv, capsys):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
 from offgrid.config import default_config
 from offgrid.errors import MilpError
@@ -23,7 +23,7 @@ from offgrid.milp.simplex import (
     _Trouble,
     solve_lp_std,
 )
-from offgrid.mpc import build_mpc_milp
+from offgrid.mpc import _build, _greedy_seeds, build_mpc_milp
 from offgrid.plant import PlantState
 from offgrid.scenario import build_scenario
 from offgrid.weather import synthesize_weather
@@ -143,14 +143,40 @@ def linprog_oracle(model, lb=None, ub=None):
     return ("infeasible" if res.status == 2 else "unbounded"), None
 
 
-def horizon_model(profile, n, soc):
-    """The controller's horizon MILP at step 0 of a 3-day synthetic scenario."""
+def horizon_window(profile, n, soc, k=0):
+    """(e_bat0, t_fr0, forecast, config) of the controller at step k of a
+    3-day synthetic scenario, battery at `soc` of its usable range."""
     cfg = default_config()
     weather = synthesize_weather(3, profile, seed=1, step_hours=cfg.step_hours)
     scenario = build_scenario(weather, cfg, days=1)
     bat = cfg.battery
-    state = PlantState(e_bat_wh=bat.e_min_wh + soc * (bat.e_max_wh - bat.e_min_wh), t_fr_c=2.0)
-    return build_mpc_milp(state, scenario.forecast(0, n), cfg)
+    return bat.e_min_wh + soc * (bat.e_max_wh - bat.e_min_wh), 2.0, scenario.forecast(k, n), cfg
+
+
+def horizon_model(profile, n, soc):
+    """The controller's horizon MILP at step 0 of a 3-day synthetic scenario."""
+    e_bat0, t_fr0, forecast, cfg = horizon_window(profile, n, soc)
+    return build_mpc_milp(PlantState(e_bat_wh=e_bat0, t_fr_c=t_fr0), forecast, cfg)
+
+
+def seeded_horizon(profile, n, soc, k=0):
+    """The controller's horizon MILP at step k, with the greedy seeds the
+    controller passes the solver."""
+    window = horizon_window(profile, n, soc, k)
+    std, ix = _build(*window)
+    return std, _greedy_seeds(*window, ix)
+
+
+def milp_oracle(std):
+    """Independent MILP oracle: HiGHS through scipy.optimize.milp at a 1e-7
+    relative gap. Returns the optimal objective."""
+    rel = np.array(std.relations)
+    rows = LinearConstraint(std.a_csc, np.where(rel == LE, -np.inf, std.b),
+                            np.where(rel == GE, np.inf, std.b))
+    res = milp(std.c, constraints=rows, integrality=std.is_binary.astype(int),
+               bounds=Bounds(std.lb, std.ub), options={"mip_rel_gap": 1e-7})
+    assert res.status == 0, res.message
+    return float(res.fun)
 
 
 def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
@@ -366,7 +392,7 @@ class TestSolverOptions:
 NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
 
 
-def recorded_lps(monkeypatch, model, options):
+def recorded_lps(monkeypatch, model, options, seeds=None):
     """Solve the MILP, recording every LP branch-and-bound asks for as
     (lb, ub, start, result)."""
     calls = []
@@ -377,11 +403,52 @@ def recorded_lps(monkeypatch, model, options):
         return res
 
     monkeypatch.setattr(offgrid.milp.branch_bound, "solve_lp_std", record)
-    return solve_milp(model, options), calls
+    return solve_milp(model, options, initial_solution=seeds), calls
+
+
+def round_fix_lps(std, calls):
+    """The recorded LPs that fix every binary: round-and-fix LPs."""
+    bins = np.flatnonzero(std.is_binary)
+    return [k for k, (lb, ub, _start, _res) in enumerate(calls) if np.all(lb[bins] == ub[bins])]
+
+
+class TestRoundFix:
+    """Round-and-fix runs only when no seed passes the audit (the seedless
+    case is in TestWarmStart)."""
+
+    @pytest.mark.parametrize("k,status", [(0, "GapLimit"), (55, "TimeLimit")])
+    def test_no_round_fix_lp_when_a_seed_passes(self, monkeypatch, k, status):
+        # Step 0 closes at the root; step 55 runs the tree to the node budget.
+        std, seeds = seeded_horizon("post-storm", 36, 0.5, k)
+        solution, calls = recorded_lps(monkeypatch, std, NODE_BUDGET, seeds)
+        assert solution.status == status and solution.has_incumbent
+        assert round_fix_lps(std, calls) == []
+
+
+class TestMilpOracle:
+    """Horizon MILPs with their seeds at the node budget, against HiGHS."""
+
+    def test_status_bound_and_gap_hold_against_highs(self):
+        statuses = set()
+        for k in (0, 20, 28, 45, 55, 65):
+            std, seeds = seeded_horizon("post-storm", 36, 0.5, k)
+            sol = solve_milp(std, NODE_BUDGET, initial_solution=seeds)
+            optimum = milp_oracle(std)
+            tol = 1e-6 * max(1.0, abs(optimum))
+            assert sol.best_bound <= optimum + tol, k
+            assert optimum <= sol.objective + tol, k
+            if sol.status == "Optimal":
+                assert sol.objective == pytest.approx(optimum, rel=1e-6, abs=1e-6), k
+            elif sol.status == "GapLimit":
+                true_gap = (sol.objective - optimum) / max(abs(sol.objective), 1e-10)
+                assert true_gap <= NODE_BUDGET.rel_gap_limit, k
+            statuses.add(sol.status)
+        assert {"TimeLimit", "GapLimit"} <= statuses
 
 
 class TestWarmStart:
-    """Child and round-fix LPs reoptimize from their parent's basis."""
+    """Child LPs and the root's round-fix LP reoptimize from their parent's
+    basis."""
 
     @pytest.fixture(scope="class")
     def storm(self):
@@ -410,6 +477,12 @@ class TestWarmStart:
                 assert res.objective == pytest.approx(objective, rel=1e-7), f"LP {k}"
             statuses.add(status)
         assert statuses == {"optimal", "infeasible"}
+
+    def test_seedless_solve_rounds_and_fixes_at_the_root_only(self, storm):
+        model, solution, calls = storm
+        assert solution.has_incumbent
+        assert round_fix_lps(as_standard_form(model), calls) == [1]  # right after the root
+        assert calls[1][2] is calls[0][3].basis
 
     def test_node_lps_take_a_fifth_of_cold_iterations(self, storm):
         model, _solution, calls = storm

@@ -15,6 +15,7 @@ from offgrid.devices import fridge_discretize, fridge_energy
 from offgrid.errors import DataError, InfeasiblePlanError
 from offgrid.milp import MilpModel, SolverOptions, check_solution, solve_lp, solve_milp, to_lp_text
 from offgrid.milp.simplex import solve_lp_std
+import offgrid.mpc
 from offgrid.mpc import (
     ControlCommand,
     MpcController,
@@ -31,6 +32,7 @@ from offgrid.scenario import ForecastWindow, build_scenario
 from offgrid.weather import synthesize_weather
 
 EXACT = SolverOptions(rel_gap_limit=1e-12, time_limit=120.0)
+NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
 
 
 def forecast(n, g=0.0, t_house=25.0, e_s=0.0):
@@ -334,6 +336,24 @@ def horizon_windows():
                 yield e_bat0, t_fr0, scenario.forecast(k, n), cfg.replace(horizon_steps=n)
 
 
+def raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix):
+    """_greedy_seeds' result, and every rollout it built before dropping
+    copies: the rationed rollout (the last of its repair loop), then each
+    rung of the serve-first-K ladder, which passes fridge_priority."""
+    rationed, ladder = [], []
+
+    def record(*args, **kwargs):
+        out = _greedy_rollout(*args, **kwargs)
+        if out is not None:
+            (ladder if "fridge_priority" in kwargs else rationed).append(out[0])
+        return out
+
+    with monkeypatch.context() as patch:
+        patch.setattr(offgrid.mpc, "_greedy_rollout", record)
+        seeds = _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)
+    return seeds, rationed[-1:] + ladder
+
+
 def assert_forms_byte_equal(mine, ref):
     for name in ("c", "b", "lb", "ub", "is_binary"):
         got, want = getattr(mine, name), getattr(ref, name)
@@ -384,6 +404,23 @@ class TestHorizonBuild:
                     assert out[0].tobytes() in seeds
                     checked += 1
         assert checked >= 12
+
+    def test_seeds_are_the_distinct_rollouts_first_copy_kept(self, monkeypatch):
+        solved = 0
+        for e_bat0, t_fr0, fc, cfg in horizon_windows():
+            std, ix = _build(e_bat0, t_fr0, fc, cfg)
+            seeds, raw = raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix)
+            keys = [seed.tobytes() for seed in seeds]
+            assert len(set(keys)) == len(keys)
+            assert keys == list(dict.fromkeys(seed.tobytes() for seed in raw))
+            if len(fc) > 36:
+                continue
+            distinct = solve_milp(std, NODE_BUDGET, initial_solution=seeds)
+            full = solve_milp(std, NODE_BUDGET, initial_solution=raw)
+            assert distinct.values.tobytes() == full.values.tobytes()
+            assert (distinct.objective, distinct.best_bound) == (full.objective, full.best_bound)
+            solved += len(raw) > len(seeds)
+        assert solved == 18  # every window up to N=36 had copies to drop
 
     def test_check_solution_names_the_violated_row(self):
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
