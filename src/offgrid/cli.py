@@ -113,6 +113,9 @@ def _solver_options(args) -> SolverOptions:
 def _scenario(args, cfg: SystemConfig):
     if not (math.isfinite(args.days) and args.days > 0):
         raise ConfigError(f"--days must be a positive finite number, got {args.days}")
+    # checked here too, so a bad value fails before the simulation runs
+    if not (math.isfinite(args.violation_tol) and args.violation_tol >= 0):
+        raise ConfigError(f"--violation-tol must be finite and >= 0, got {args.violation_tol}")
     if args.weather:
         weather = parse_weather_csv(args.weather, cfg.step_hours)
     else:

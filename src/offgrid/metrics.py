@@ -56,6 +56,8 @@ def compute_metrics(
 ) -> ResiliencyMetrics:
     if len(trace) == 0:
         raise DataError("cannot compute metrics of an empty trace")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise DataError(f"violation tolerance must be finite and >= 0, got {tol}")
     t_min, t_max = band
     if t_min >= t_max:
         raise DataError("band must satisfy t_min < t_max")

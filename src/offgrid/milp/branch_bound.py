@@ -23,7 +23,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,7 +64,6 @@ class MilpSolution:
     nodes_explored: int
     wall_time: float
     simplex_iterations: int
-    bound_history: list[tuple[float, float]] = field(default_factory=list)
     message: str = ""
 
     @property
@@ -109,7 +108,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
 
     total_iters = 0
     nodes = 0
-    history: list[tuple[float, float]] = []
 
     def elapsed() -> float:
         return time.perf_counter() - t0
@@ -121,7 +119,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             gap = relative_gap(obj, best_bound)
         else:
             gap = math.inf
-        history.append((best_bound, obj))
         return MilpSolution(
             status=status,
             values=incumbent_x.copy() if incumbent_x is not None else None,
@@ -131,7 +128,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             nodes_explored=nodes,
             wall_time=elapsed(),
             simplex_iterations=total_iters,
-            bound_history=history,
             message=message,
         )
 
@@ -177,7 +173,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
     while heap:
         bound, _n, x_lp, lb, ub, basis = heapq.heappop(heap)
         global_bound = min(bound, incumbent_obj)
-        history.append((global_bound, incumbent_obj))
 
         if incumbent_x is not None:
             if bound >= incumbent_obj - 1e-9:

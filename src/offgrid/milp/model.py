@@ -1,7 +1,8 @@
 """Model types for mixed-integer linear programs (always minimization).
 
 The solver stack reads one type, `StandardForm`: arrays for the objective,
-a sparse constraint matrix, bounds and binary markers, plus names. The
+a sparse constraint matrix A (and, built once on first use, the [A | I] the
+simplex runs on), bounds and binary markers, plus names. The
 controller builds its horizon MILP straight into one. `MilpModel` is the
 builder for hand-written models (variables with bounds, sparse rows with a
 relation and right-hand side); the solver functions take its cached
@@ -16,7 +17,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_matrix, csr_matrix, hstack, identity
 
 from ..errors import MilpError
 
@@ -43,7 +44,8 @@ class Violation:
 class StandardForm:
     """Arrays of a model: the constraint matrix A as CSC (`a_csc`), with no
     stored zeros. Each row gets one slack whose bounds encode the relation;
-    the solver works on [A | I] and keeps the slack columns I implicit."""
+    the solver works on `a_ext`, the explicit [A | I] with one identity
+    column per slack."""
 
     name: str
     c: np.ndarray
@@ -65,8 +67,12 @@ class StandardForm:
         return len(self.b)
 
     @cached_property
-    def a_t(self) -> csr_matrix:  # for pricing
-        return self.a_csc.T
+    def a_ext(self) -> csc_matrix:
+        return hstack([self.a_csc, identity(self.m, format="csc")], format="csc")
+
+    @cached_property
+    def a_ext_t(self) -> csr_matrix:  # for pricing; .T is not free, so it is kept
+        return self.a_ext.T
 
     @cached_property
     def slack_lb(self) -> np.ndarray:

@@ -1,11 +1,11 @@
 """Bounded-variable revised simplex used for all LP relaxations.
 
 Rows are turned into equalities with one slack each (bounds encode the
-relation), so variable bounds never become explicit rows. The slack columns
-are the identity and stay implicit: only the structural matrix A is stored,
-in sparse form, and the LP is solved over [A | I]. The basis inverse is a
-sparse LU factorization (SuperLU) plus a product-form eta file, refreshed
-every few dozen pivots.
+relation), so variable bounds never become explicit rows. The LP is solved
+over the form's cached sparse [A | I], whose last m columns are the slacks;
+the basis matrix is a column slice of it. The basis inverse is a sparse LU
+factorization (SuperLU) plus a product-form eta file, refreshed every few
+dozen pivots. A form without rows takes the same path, with an empty basis.
 
 Every LP takes one path: a bounded dual simplex drives the basic variables
 into their bounds, then the primal simplex cleans up any dual infeasibility
@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from .model import MilpModel, StandardForm, as_standard_form
@@ -123,7 +122,7 @@ class _BoundedSimplex:
         self.std = std
         self.m, self.n = std.m, std.n
         self.nt = self.n + self.m
-        self.A = std.a_csc
+        self.A = std.a_ext
         self.b = std.b
         self.c = np.concatenate([std.c, np.zeros(self.m)])
         self.max_iter = 10_000 + 20 * self.nt
@@ -161,7 +160,7 @@ class _BoundedSimplex:
         self.status = np.concatenate([np.where(at_ub, AT_UB, np.where(at_lb, AT_LB, FREE)),
                                       np.full(m, BASIC)])
         x = np.where(at_ub, ub, np.where(at_lb, lb, 0.0))
-        self.x = np.concatenate([x, self.b - self.A @ x])
+        self.x = np.concatenate([x, self.b - self.std.a_csc @ x])
         fits = np.where(at_ub, c <= 0, np.where(at_lb, c >= 0, c == 0))
         return np.concatenate([np.where(fits, c, 0.0), np.zeros(m)])
 
@@ -177,46 +176,15 @@ class _BoundedSimplex:
 
     # -- basis inverse maintenance ------------------------------------------
 
-    def _ext_matvec(self, x: np.ndarray) -> np.ndarray:
-        """[A | I] @ x over structural and slack parts."""
-        return self.A @ x[: self.n] + x[self.n:]
-
-    def _ext_rmatvec(self, y: np.ndarray) -> np.ndarray:
-        """[A | I]^T @ y."""
-        return np.concatenate([self.std.a_t @ y, y])
-
     def _column(self, j: int) -> np.ndarray:
         """Dense copy of column j of [A | I]."""
         col = np.zeros(self.m)
-        if j < self.n:
-            lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
-            col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
-        else:
-            col[j - self.n] = 1.0
+        lo, hi = self.A.indptr[j], self.A.indptr[j + 1]
+        col[self.A.indices[lo:hi]] = self.A.data[lo:hi]
         return col
 
-    def _basis_matrix(self) -> csc_matrix:
-        """The basis columns of [A | I], gathered by index into a CSC matrix."""
-        n, m = self.n, self.m
-        indptr = self.A.indptr
-        struct = self.basis < n
-        sb = self.basis[struct]
-        counts = np.ones(m, dtype=np.int64)
-        counts[struct] = indptr[sb + 1] - indptr[sb]
-        ptr = np.zeros(m + 1, dtype=np.int64)
-        np.cumsum(counts, out=ptr[1:])
-        # entry p of a structural basis column sb[i] sits at A.indices[indptr[sb[i]] + p - ptr[i]]
-        in_struct = np.repeat(struct, counts)
-        src = np.repeat(indptr[sb] - ptr[:-1][struct], counts[struct]) + np.flatnonzero(in_struct)
-        rows = np.empty(ptr[-1], dtype=np.int64)
-        rows[in_struct] = self.A.indices[src]
-        rows[~in_struct] = self.basis[~struct] - n
-        vals = np.ones(ptr[-1])
-        vals[in_struct] = self.A.data[src]
-        return csc_matrix((vals, rows, ptr), shape=(m, m))
-
     def _refactor(self) -> None:
-        cols = self._basis_matrix()
+        cols = self.A[:, self.basis]
         try:
             self.lu = splu(cols)
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
@@ -225,7 +193,7 @@ class _BoundedSimplex:
         if diag.size and diag.min() < 1e-12 * max(1.0, diag.max()):
             raise self._trouble("singular basis")
         self.etas = []
-        nonbasic_part = self._ext_matvec(self.x) - cols @ self.x[self.basis]
+        nonbasic_part = self.A @ self.x - cols @ self.x[self.basis]
         xb = self.lu.solve(self.b - nonbasic_part)
         if not np.all(np.isfinite(xb)):
             raise self._trouble("non-finite basic values")
@@ -269,7 +237,7 @@ class _BoundedSimplex:
             self.iterations += 1
 
             y = self._btran(c[self.basis])
-            d = c - self._ext_rmatvec(y)
+            d = c - self.std.a_ext_t @ y
             movable = (self.lb < self.ub) & (self.status != BASIC)
             elig_lb = movable & (self.status == AT_LB) & (d < -self.DUAL_TOL)
             elig_ub = movable & (self.status == AT_UB) & (d > self.DUAL_TOL)
@@ -337,15 +305,15 @@ class _BoundedSimplex:
         """Bounded dual simplex until every basic variable is within its
         bounds; False when a row proves the LP infeasible."""
         y = self._btran(c[self.basis])
-        d = c - self._ext_rmatvec(y)
+        d = c - self.std.a_ext_t @ y
         while True:
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
             above = xb - self.ub[self.basis]
             violation = np.maximum(below, above)
-            r = int(np.argmax(violation))
-            if violation[r] <= self.PRIMAL_TOL:
+            if violation.max(initial=0.0) <= self.PRIMAL_TOL:
                 return True
+            r = int(np.argmax(violation))
             if self.iterations >= self.max_iter:
                 raise self._trouble("iteration limit exceeded")
             self.iterations += 1
@@ -355,7 +323,7 @@ class _BoundedSimplex:
             # upper bound.
             e_r = np.zeros(self.m)
             e_r[r] = 1.0
-            alpha = self._ext_rmatvec(self._btran(e_r))
+            alpha = self.std.a_ext_t @ self._btran(e_r)
             s = 1.0 if below[r] > 0 else -1.0
             a = s * alpha
             movable = (self.lb < self.ub) & (self.status != BASIC)
@@ -388,8 +356,6 @@ class _BoundedSimplex:
     # -- driver ---------------------------------------------------------------
 
     def solve(self) -> LpResult:
-        if self.m == 0:
-            return self._solve_unconstrained()
         if not self._dual(self.c_dual):
             return LpResult(INFEASIBLE, None, math.nan, self.iterations,
                             "dual simplex: a basic variable cannot reach its bounds")
@@ -401,17 +367,8 @@ class _BoundedSimplex:
         return LpResult(OPTIMAL, x_struct, float(self.std.c @ x_struct), self.iterations,
                         basis=Basis(self.basis.copy(), self.status.copy()))
 
-    def _solve_unconstrained(self) -> LpResult:
-        c = self.std.c
-        x = np.where(c > 0, self.lb[: self.n],
-                     np.where(c < 0, self.ub[: self.n], self.x[: self.n]))
-        if np.any(~np.isfinite(x) & (np.abs(c) > 0)):
-            return LpResult(UNBOUNDED, None, -math.inf, 0, "free improving variable")
-        x = np.where(np.isfinite(x), x, 0.0)
-        return LpResult(OPTIMAL, x, float(c @ x), 0)
-
     def _verify(self) -> None:
-        resid = self._ext_matvec(self.x) - self.b
+        resid = self.A @ self.x - self.b
         if resid.size and np.max(np.abs(resid)) > FEASIBILITY_TOL * 10:
             raise self._trouble(f"row residual {np.max(np.abs(resid)):.3e} after solve")
         below = self.lb - self.x

@@ -277,9 +277,13 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
        and then unserving the latest served step before each fridge failure
        (late service carries the smallest reward under the (N-i) weights);
     2. serve-first-K: serve only the first K scheduled steps of the window,
-       for a ladder of K values and both fridge/fans priorities - the shape
-       the time-varying weights actually favor under scarcity; K = 0 is the
-       fridge-only rollout and K = all the serve-everything one.
+       fridge first, for a ladder of K values - the shape the time-varying
+       weights actually favor under scarcity; K = 0 is the fridge-only
+       rollout and K = all the serve-everything one;
+    3. fans-first: the serve-everything plan with the fans kept ahead of the
+       fridge. Fans-first rollouts of the shorter plans are not built: on
+       closed-loop storm and clear runs none held a better incumbent than
+       the other seeds.
 
     Each distinct rollout is returned once, first copy kept: rungs often
     coincide (both priorities agree while energy suffices), and solve_milp
@@ -307,14 +311,13 @@ def _greedy_seeds(e_bat0: float, t_fr0: float, forecast: ForecastWindow,
 
     scheduled = np.flatnonzero(forecast.e_secondary_wh > 0)
     prefix_ks = sorted({0, 2, 4, 6, 9, 12, 18, 24, len(scheduled)} & set(range(len(scheduled) + 1)))
-    for k in prefix_ks:
+    for k, priority in [(k, True) for k in prefix_ks] + [(len(scheduled), False)]:
         plan_k = np.zeros(n, dtype=bool)
         plan_k[scheduled[:k]] = True
-        for priority in (True, False):
-            out = _greedy_rollout(e_bat0, t_fr0, forecast, config, indices, plan_k,
-                                  fridge_priority=priority)
-            if out is not None:
-                seeds.append(out[0])
+        out = _greedy_rollout(e_bat0, t_fr0, forecast, config, indices, plan_k,
+                              fridge_priority=priority)
+        if out is not None:
+            seeds.append(out[0])
     distinct: dict[bytes, np.ndarray] = {}
     for seed in seeds:
         distinct.setdefault(seed.tobytes(), seed)

@@ -43,7 +43,6 @@ class PlantState:
 
     e_bat_wh: float
     t_fr_c: float
-    step_index: int = 0
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,7 @@ def plant_step(
         unserved_fr=(req_fr - fr) * e_fr,
         unserved_s=(req_s - s) * e_secondary,
     )
-    next_state = PlantState(e_bat_wh=e_next, t_fr_c=t_next,
-                            step_index=state.step_index + 1)
+    next_state = PlantState(e_bat_wh=e_next, t_fr_c=t_next)
     return next_state, flows, fr, s
 
 
@@ -247,7 +245,7 @@ def make_controller(name: ControllerName, config: SystemConfig,
 
 def initial_plant_state(config: SystemConfig, t_fr_c: float = 2.0) -> PlantState:
     """Study initial condition: battery full, fridge at 2 degC."""
-    return PlantState(e_bat_wh=config.battery.e_max_wh, t_fr_c=t_fr_c, step_index=0)
+    return PlantState(e_bat_wh=config.battery.e_max_wh, t_fr_c=t_fr_c)
 
 
 def run_closed_loop(

@@ -44,6 +44,10 @@ class SizingSpec:
     inverter_efficiency: float = 0.9
 
     def __post_init__(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ConfigError(f"sizing.{f.name} must be finite, got {value}")
         positives = (
             "daily_demand_wh", "storage_days", "system_voltage_v",
             "panel_rated_w", "panel_cost", "battery_unit_wh",

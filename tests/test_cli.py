@@ -116,6 +116,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error:" in err and "--days" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-5"])
+    def test_bad_violation_tol_fails_with_message(self, tmp_path, capsys, value):
+        code = run("--out", tmp_path, "simulate", "--controller", "baseline", "--days", "1",
+                   "--violation-tol", value)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "--violation-tol" in err and "Traceback" not in err
+
 
 class TestCompare:
     def test_emits_two_metric_rows(self, tmp_path, weather_csv, capsys):
@@ -183,3 +191,12 @@ class TestSize:
         assert run("size", "--storage-days", "2") == 0
         out = capsys.readouterr().out
         assert "battery units          4" in out
+
+    @pytest.mark.parametrize("flag,field", [("--demand-wh", "daily_demand_wh"),
+                                            ("--storage-days", "storage_days"),
+                                            ("--insolation", "insolation_psh")])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_override_fails_with_message(self, capsys, flag, field, value):
+        assert run("size", flag, value) == 1
+        err = capsys.readouterr().err
+        assert f"error: sizing.{field} must be finite" in err and "Traceback" not in err

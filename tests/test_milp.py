@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
+from scipy.sparse import csc_matrix
 
 from offgrid.config import default_config
 from offgrid.errors import MilpError
@@ -200,6 +201,57 @@ def check_solution_loop(model, values, tol=1e-7, integrality_tol=1e-6):
     return out
 
 
+def basis_gather_reference(std, basis):
+    """The basis columns of [A | I], gathered by index arithmetic from A's
+    CSC arrays with the slack columns implicit: the reference for the
+    column slice of the explicit [A | I]."""
+    a = std.a_csc
+    n, m = std.n, std.m
+    struct = basis < n
+    sb = basis[struct]
+    counts = np.ones(m, dtype=np.int64)
+    counts[struct] = a.indptr[sb + 1] - a.indptr[sb]
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(counts, out=ptr[1:])
+    in_struct = np.repeat(struct, counts)
+    src = np.repeat(a.indptr[sb] - ptr[:-1][struct], counts[struct]) + np.flatnonzero(in_struct)
+    rows = np.empty(ptr[-1], dtype=np.int64)
+    rows[in_struct] = a.indices[src]
+    rows[~in_struct] = basis[~struct] - n
+    vals = np.ones(ptr[-1])
+    vals[in_struct] = a.data[src]
+    return csc_matrix((vals, rows, ptr), shape=(m, m))
+
+
+def row_free_reference(std):
+    """Closed-form LP without rows: each variable at the bound its cost
+    favours (unbounded when that bound is infinite), a zero-cost one where
+    the all-slack start puts it."""
+    lb, ub, c = std.lb, std.ub, std.c
+    at_ub = np.isfinite(ub) & ((c < 0) | ~np.isfinite(lb))
+    start = np.where(at_ub, ub, np.where(np.isfinite(lb), lb, 0.0))
+    x = np.where(c > 0, lb, np.where(c < 0, ub, start))
+    if np.any(~np.isfinite(x)):
+        return "unbounded", None, -math.inf
+    return "optimal", x, float(c @ x)
+
+
+def row_free_model(rng):
+    """Random model without rows: binaries and variables with two-sided,
+    one-sided or no bounds, costs often zero."""
+    m = MilpModel()
+    for j in range(int(rng.integers(0, 8))):
+        kind = rng.integers(0, 5)
+        lo, hi = sorted(rng.uniform(-5, 5, 2))
+        if kind == 4:
+            m.add_variable(f"b{j}", 0, 1, binary=True)
+        else:
+            m.add_variable(f"x{j}", lo if kind in (0, 1) else -math.inf,
+                           hi if kind in (0, 2) else math.inf)
+    m.set_objective({j: float(rng.integers(-3, 4)) for j in range(m.n_variables)})
+    return m
+
+
 def milp_enum_oracle(model):
     """Exhaustive oracle: LP for every binary assignment, best value wins."""
     std = model.standard_form()
@@ -279,6 +331,44 @@ class TestSolveLp:
         engine.basis = np.array(basis)
         with pytest.raises(_Trouble, match="singular basis"):
             engine._refactor()
+
+    def test_basis_slice_equals_gather_reference(self):
+        rng = np.random.default_rng(16)
+        forms = [as_standard_form(horizon_model("post-storm", 36, 0.5)),
+                 as_standard_form(horizon_model("clear", 144, 1.0))]
+        forms += [random_model(rng, int(rng.integers(0, 4)), int(rng.integers(1, 30)),
+                               int(rng.integers(1, 20))).standard_form() for _ in range(40)]
+        mixed = 0
+        for std in forms:
+            res = solve_lp_std(std, std.lb, std.ub)
+            assert res.status == "optimal"
+            basis = res.basis.rows
+            got, want = std.a_ext[:, basis], basis_gather_reference(std, basis)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert got.shape == want.shape
+            mixed += bool(np.any(basis < std.n) and np.any(basis >= std.n))
+        assert mixed >= 30  # most bases hold structural and slack columns
+
+    def test_row_free_models_take_the_one_lp_path(self):
+        rng = np.random.default_rng(600)
+        statuses = set()
+        for trial in range(600):
+            std = row_free_model(rng).standard_form()
+            status, x, objective = row_free_reference(std)
+            lp = solve_lp(std)
+            assert lp.status == status, f"trial {trial}"
+            assert lp.objective == objective, f"trial {trial}"
+            mip = solve_milp(std, EXACT)
+            if status == "unbounded":
+                assert lp.x is None and mip.status == "Unbounded", f"trial {trial}"
+            else:
+                assert lp.x.tobytes() == x.tobytes(), f"trial {trial}"
+                assert mip.status == "Optimal", f"trial {trial}"
+                assert mip.values.tobytes() == x.tobytes(), f"trial {trial}"
+                assert mip.objective == objective, f"trial {trial}"
+            statuses.add(status)
+        assert statuses == {"optimal", "unbounded"}
 
     def test_matches_vertex_oracle_on_random_lps(self):
         rng = np.random.default_rng(2024)
@@ -595,6 +685,8 @@ class TestSolveMilp:
             assert res2.objective == pytest.approx(res.objective * scale, rel=1e-9)
 
     def test_weak_duality_and_monotone_bound(self):
+        # Each node budget stops the same deterministic search earlier, so the
+        # reported bound must never fall as the budget grows.
         rng = np.random.default_rng(4242)
         for _ in range(20):
             m = random_model(rng, int(rng.integers(2, 8)), 2, 4)
@@ -602,10 +694,14 @@ class TestSolveMilp:
             if not s.has_incumbent:
                 continue
             assert s.best_bound <= s.objective + 1e-9
-            bounds = [b for b, _inc in s.bound_history]
-            assert all(b2 >= b1 - 1e-9 for b1, b2 in zip(bounds, bounds[1:]))
-            for b, inc in s.bound_history:
-                assert b <= inc + 1e-9
+            bound = -math.inf
+            for limit in range(1, s.nodes_explored + 1):
+                r = solve_milp(m, SolverOptions(rel_gap_limit=1e-12, time_limit=120.0,
+                                                node_limit=limit))
+                assert r.best_bound >= bound - 1e-9
+                assert r.best_bound <= r.objective + 1e-9
+                bound = r.best_bound
+            assert s.best_bound >= bound - 1e-9
 
     def test_initial_solution_seeds_incumbent(self):
         m = MilpModel()

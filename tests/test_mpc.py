@@ -354,6 +354,42 @@ def raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix):
     return seeds, rationed[-1:] + ladder
 
 
+def full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix):
+    """The seed ladder with a fans-first rollout on every serve-first-K rung,
+    not only the serve-everything one: the reference for the trimmed ladder."""
+    n = len(fc)
+    seeds = []
+    serve = fc.e_secondary_wh > 0
+    rationed = None
+    for _ in range(n + 1):
+        out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, serve)
+        if out is None:
+            break
+        rationed, fail = out
+        if fail is None:
+            break
+        served_before = np.flatnonzero(serve[: fail + 1])
+        if served_before.size == 0:
+            break
+        serve = serve.copy()
+        serve[served_before[-1]] = False
+    if rationed is not None:
+        seeds.append(rationed)
+    scheduled = np.flatnonzero(fc.e_secondary_wh > 0)
+    prefix_ks = sorted({0, 2, 4, 6, 9, 12, 18, 24, len(scheduled)} & set(range(len(scheduled) + 1)))
+    for k in prefix_ks:
+        plan_k = np.zeros(n, dtype=bool)
+        plan_k[scheduled[:k]] = True
+        for priority in (True, False):
+            out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, plan_k, fridge_priority=priority)
+            if out is not None:
+                seeds.append(out[0])
+    distinct = {}
+    for seed in seeds:
+        distinct.setdefault(seed.tobytes(), seed)
+    return list(distinct.values())
+
+
 def assert_forms_byte_equal(mine, ref):
     for name in ("c", "b", "lb", "ub", "is_binary"):
         got, want = getattr(mine, name), getattr(ref, name)
@@ -421,6 +457,38 @@ class TestHorizonBuild:
             assert (distinct.objective, distinct.best_bound) == (full.objective, full.best_bound)
             solved += len(raw) > len(seeds)
         assert solved == 18  # every window up to N=36 had copies to drop
+
+    def test_trimmed_ladder_solves_as_the_full_ladder(self):
+        solved = 0
+        for e_bat0, t_fr0, fc, cfg in horizon_windows():
+            if len(fc) > 36:
+                continue
+            std, ix = _build(e_bat0, t_fr0, fc, cfg)
+            trimmed = solve_milp(std, NODE_BUDGET,
+                                 initial_solution=_greedy_seeds(e_bat0, t_fr0, fc, cfg, ix))
+            full = solve_milp(std, NODE_BUDGET,
+                              initial_solution=full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix))
+            assert trimmed.values.tobytes() == full.values.tobytes()
+            assert (trimmed.objective, trimmed.best_bound, trimmed.nodes_explored) == \
+                (full.objective, full.best_bound, full.nodes_explored)
+            solved += 1
+        assert solved == 18
+
+    def test_one_fans_first_rollout_per_window(self, monkeypatch):
+        for e_bat0, t_fr0, fc, cfg in horizon_windows():
+            _std, ix = _build(e_bat0, t_fr0, fc, cfg)
+            fans_first = []
+
+            def record(*args, **kwargs):
+                if kwargs.get("fridge_priority") is False:
+                    fans_first.append(args[5].copy())
+                return _greedy_rollout(*args, **kwargs)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(offgrid.mpc, "_greedy_rollout", record)
+                _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)
+            assert len(fans_first) == 1
+            assert np.array_equal(fans_first[0], fc.e_secondary_wh > 0)
 
     def test_check_solution_names_the_violated_row(self):
         state = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)

@@ -214,6 +214,14 @@ class TestClosedLoop:
         total_unsrv = sum(m.secondary_unserved_steps_by_day)
         assert m.secondary_unserved_pct == pytest.approx(100.0 * total_unsrv / total_sched)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -5.0, -1e-9])
+    def test_metrics_reject_non_finite_or_negative_tol(self, tol):
+        cfg = default_config().replace(horizon_steps=6)
+        scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=1 / 24)
+        trace = run_closed_loop("baseline", scenario, cfg)
+        with pytest.raises(DataError, match="violation tolerance"):
+            compute_metrics(trace, (0.0, 4.0), tol=tol)
+
     def test_proposed_short_run_keeps_band_with_plenty_of_energy(self):
         cfg = default_config().replace(horizon_steps=12)
         scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=0.25)

@@ -1,6 +1,7 @@
 """Standalone sizing arithmetic and the fixed size/cost ladder."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -37,6 +38,12 @@ class TestSizeSystem:
         counts = [size_system(dataclasses.replace(base, storage_days=d)).n_battery_units
                   for d in (0.5, 1.0, 2.0, 3.0)]
         assert counts == sorted(counts)
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(SizingSpec)])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"sizing.{field} must be finite"):
+            dataclasses.replace(SizingSpec(), **{field: value})
 
     def test_zero_insolation_rejected(self):
         with pytest.raises(ConfigError, match="zero sun"):
