@@ -206,6 +206,8 @@ def _sweep_entry(payload):
 
 
 def cmd_sweep_sizes(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     cfg = _load_config(args)
     options = _solver_options(args)
     ladder = size_ladder()
@@ -219,8 +221,10 @@ def cmd_sweep_sizes(args) -> int:
     jobs.append((size_a.label, "proposed", cfg_a, _scenario(args, cfg_a),
                  options, args.violation_tol))
 
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # A pool starts all its workers at once, so none beyond the job count.
+    workers = min(args.jobs, len(jobs))
+    if workers > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_sweep_entry, jobs))
     else:
         results = [_sweep_entry(j) for j in jobs]

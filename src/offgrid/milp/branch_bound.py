@@ -6,10 +6,12 @@ relative gap against the incumbent is therefore meaningful at every step.
 Branching picks the most fractional binary (ties to the lowest index). The
 incumbent starts as the best seed that passes the audit; only when none does
 is a round-and-fix LP solved, once, at the root, with every binary fixed at
-its rounded root value. Each heap entry keeps its LP's optimal basis: both
-children of a node, and the root's round-fix LP, differ from it only in
-bounds, so they reoptimize from it with the dual simplex instead of starting
-cold. Terminal status:
+its rounded root value. The root LP starts cold, or from a given basis of the
+same form (the MPC controller passes the previous step's root basis, shifted
+one step), and its optimal basis is returned for the next step. Each heap
+entry keeps its LP's optimal basis: both children of a node, and the root's
+round-fix LP, differ from it only in bounds, so they reoptimize from it with
+the dual simplex instead of starting cold. Terminal status:
 
   Optimal   - the tree is exhausted (or the bound meets the incumbent).
   GapLimit  - the relative gap reached rel_gap_limit with open nodes left.
@@ -44,17 +46,20 @@ class SolverOptions:
     node_limit: int | None = None
 
     def __post_init__(self):
-        if not self.rel_gap_limit > 0:
-            raise MilpError("rel_gap_limit must be positive")
-        if not self.time_limit > 0:
-            raise MilpError("time_limit must be positive")
+        # An infinite gap stops every solve at its first incumbent, and an
+        # infinite time limit leaves a solve without a node budget unbounded.
+        for name in ("rel_gap_limit", "time_limit"):
+            value = getattr(self, name)
+            if not (value > 0 and math.isfinite(value)):
+                raise MilpError(f"{name} must be positive and finite, got {value}")
         if self.node_limit is not None and self.node_limit <= 0:
             raise MilpError("node_limit must be positive")
 
 
 @dataclass
 class MilpSolution:
-    """Solver outcome; `values` is None when no incumbent was found."""
+    """Solver outcome; `values` is None when no incumbent was found, and
+    `root_basis` is None when the root LP did not reach its optimum."""
 
     status: str
     values: np.ndarray | None
@@ -65,6 +70,7 @@ class MilpSolution:
     wall_time: float
     simplex_iterations: int
     message: str = ""
+    root_basis: Basis | None = None
 
     @property
     def has_incumbent(self) -> bool:
@@ -78,12 +84,13 @@ def relative_gap(objective: float, best_bound: float) -> float:
 
 
 def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = None,
-               initial_solution=None) -> MilpSolution:
+               initial_solution=None, root_start: Basis | None = None) -> MilpSolution:
     """Solve a MILP by LP-based branch-and-bound on its binary variables.
 
     `initial_solution` (one assignment or an iterable of candidates) seeds
     the incumbent; every candidate is audited with check_solution first and
-    infeasible ones are ignored.
+    infeasible ones are ignored. `root_start`, a nonsingular basis of the
+    same form, starts the root LP in place of the slack basis.
     """
     options = options or SolverOptions()
     t0 = time.perf_counter()
@@ -108,6 +115,7 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
 
     total_iters = 0
     nodes = 0
+    root_basis: Basis | None = None
 
     def elapsed() -> float:
         return time.perf_counter() - t0
@@ -129,11 +137,13 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             wall_time=elapsed(),
             simplex_iterations=total_iters,
             message=message,
+            root_basis=root_basis,
         )
 
-    root = solve_lp_std(std, std.lb, std.ub)
+    root = solve_lp_std(std, std.lb, std.ub, start=root_start)
     nodes += 1
     total_iters += root.iterations
+    root_basis = root.basis
     if root.status == INFEASIBLE:
         return done("Infeasible", math.inf, root.message)
     if root.status == UNBOUNDED:

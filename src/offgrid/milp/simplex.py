@@ -10,14 +10,17 @@ dozen pivots. A form without rows takes the same path, with an empty basis.
 Every LP takes one path: a bounded dual simplex drives the basic variables
 into their bounds, then the primal simplex cleans up any dual infeasibility
 left. A cold LP starts from the all-slack basis, whose factor is the
-identity, with each structural at the bound its cost favours. That start is
-dual feasible, except for costs whose sign no finite bound fits; the dual
-simplex runs with those costs zeroed, and the primal simplex restores them.
-An LP that differs from an already solved one only in its variable bounds
-(a branch-and-bound child, a round-and-fix LP) starts instead from that LP's
-optimal basis, with the nonbasic variables at their new bounds; changing
-bounds keeps an optimal basis dual feasible. Either way an infeasible LP is
-proven by a dual ratio test that finds no entering column.
+identity, with each structural at the bound its cost favours. An LP may
+instead start from a given basis of the same form, with the nonbasic
+variables at their bounds: the optimal basis of an LP that differs only in
+its variable bounds (a branch-and-bound child, a round-and-fix LP), or the
+previous MPC step's root basis shifted one step. The dual simplex runs on
+costs made dual feasible for the start by one rule for every start: each
+nonbasic cost whose reduced cost has the wrong sign for its status is moved
+so that its reduced cost is 0. A cold start moves only costs whose sign no
+finite bound fits (to 0), and an optimal basis under new bounds moves none.
+The primal simplex then runs on the true costs. Either way an infeasible LP
+is proven by a dual ratio test that finds no entering column.
 
 Pivoting is deterministic: Dantzig pricing (largest reduced cost, lowest
 index on ties), switching to Bland's rule after a run of degenerate steps.
@@ -81,8 +84,9 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
                  start: Basis | None = None) -> LpResult:
     """Solve with explicit variable bounds (used by branch-and-bound nodes).
 
-    `start` is the optimal basis of an LP on the same form that differs only
-    in bounds; the solve then reoptimizes from it with the dual simplex.
+    `start` is a nonsingular basis of the same form, such as the optimal
+    basis of an LP that differs only in bounds; the solve then reoptimizes
+    from it with the dual simplex.
     """
     iterations = 0
     try:
@@ -99,6 +103,14 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
     except _Trouble as exc:
         return LpResult(NUMERICAL, None, math.nan,
                         iterations + getattr(exc, "iterations", 0), str(exc))
+
+
+def cold_status(c: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
+    """Status of nonbasic structurals in a cold start: at the upper bound if
+    the cost is negative or there is no lower bound, else at the lower bound,
+    else free at 0."""
+    at_ub = np.isfinite(ub) & ((c < 0) | ~np.isfinite(lb))
+    return np.where(at_ub, AT_UB, np.where(np.isfinite(lb), AT_LB, FREE))
 
 
 class _IdentityFactor:
@@ -140,39 +152,52 @@ class _BoundedSimplex:
         self.lu = _IdentityFactor()
         self.etas: list[tuple[int, np.ndarray]] = []
         if start is None:
-            self.c_dual = self._slack_basis()
+            self._slack_basis()
         else:
             self._load_basis(start)
-            self.c_dual = self.c
+        self.c_dual = self._dual_costs()
 
     # -- setup --------------------------------------------------------------
 
-    def _slack_basis(self) -> np.ndarray:
-        """All-slack start: each structural at its upper bound if its cost is
-        negative or it has no lower bound, else at its lower bound, else free
-        at 0. Returns the costs the dual simplex runs on: the true ones, zeroed
-        where no finite bound fits the cost's sign."""
+    def _slack_basis(self) -> None:
+        """All-slack start, each structural at the bound `cold_status` picks."""
         n, m = self.n, self.m
-        lb, ub, c = self.lb[:n], self.ub[:n], self.std.c
-        at_ub = np.isfinite(ub) & ((c < 0) | ~np.isfinite(lb))
-        at_lb = ~at_ub & np.isfinite(lb)
         self.basis = n + np.arange(m)
-        self.status = np.concatenate([np.where(at_ub, AT_UB, np.where(at_lb, AT_LB, FREE)),
-                                      np.full(m, BASIC)])
-        x = np.where(at_ub, ub, np.where(at_lb, lb, 0.0))
+        status = cold_status(self.std.c, self.lb[:n], self.ub[:n])
+        self.status = np.concatenate([status, np.full(m, BASIC)])
+        x = np.select([status == AT_LB, status == AT_UB], [self.lb[:n], self.ub[:n]], 0.0)
         self.x = np.concatenate([x, self.b - self.std.a_csc @ x])
-        fits = np.where(at_ub, c <= 0, np.where(at_lb, c >= 0, c == 0))
-        return np.concatenate([np.where(fits, c, 0.0), np.zeros(m)])
 
     def _load_basis(self, start: Basis) -> None:
-        """Start from a previous optimal basis: nonbasic variables at their
-        (new) bounds, basic values from a fresh factorization."""
+        """Start from a given basis: nonbasic variables at their (new) bounds,
+        basic values from a fresh factorization."""
         self.basis = start.rows.copy()
         self.status = start.status.copy()
         self.x = np.select([self.status == AT_LB, self.status == AT_UB], [self.lb, self.ub], 0.0)
         if not np.all(np.isfinite(self.x)):
             raise self._trouble("start basis puts a variable at an infinite bound")
         self._refactor()
+
+    def _dual_costs(self) -> np.ndarray:
+        """The costs the dual simplex runs on: the true ones, except that each
+        movable nonbasic cost whose reduced cost has the wrong sign for its
+        status (beyond DUAL_TOL) is moved so that its reduced cost is 0. On
+        the slack basis the reduced costs are the costs, so this zeroes the
+        costs whose sign no finite bound fits."""
+        d = self.c - self.std.a_ext_t @ self._btran(self.c[self.basis])
+        wrong = self._wrong_sign(d)
+        if not wrong.any():
+            return self.c
+        c_dual = self.c.copy()
+        c_dual[wrong] -= d[wrong]
+        return c_dual
+
+    def _wrong_sign(self, d: np.ndarray) -> np.ndarray:
+        """Movable nonbasic columns whose reduced cost d has the wrong sign
+        for their status, beyond DUAL_TOL: the primal simplex's candidates."""
+        s, tol = self.status, self.DUAL_TOL
+        return (self.lb < self.ub) & (((s == AT_LB) & (d < -tol)) | ((s == AT_UB) & (d > tol))
+                                      | ((s == FREE) & (np.abs(d) > tol)))
 
     # -- basis inverse maintenance ------------------------------------------
 
@@ -236,13 +261,8 @@ class _BoundedSimplex:
                 raise self._trouble("iteration limit exceeded")
             self.iterations += 1
 
-            y = self._btran(c[self.basis])
-            d = c - self.std.a_ext_t @ y
-            movable = (self.lb < self.ub) & (self.status != BASIC)
-            elig_lb = movable & (self.status == AT_LB) & (d < -self.DUAL_TOL)
-            elig_ub = movable & (self.status == AT_UB) & (d > self.DUAL_TOL)
-            elig_fr = movable & (self.status == FREE) & (np.abs(d) > self.DUAL_TOL)
-            eligible = elig_lb | elig_ub | elig_fr
+            d = c - self.std.a_ext_t @ self._btran(c[self.basis])
+            eligible = self._wrong_sign(d)
             if not eligible.any():
                 return OPTIMAL
             if self.bland:

@@ -22,7 +22,10 @@ controller, which then moves whatever energy is actually available.
 
 Each step builds its horizon MILP straight into a `StandardForm`, the type
 the solver stack reads, in one vectorized pass. It is built fresh, with no
-cache: the build is under 1 % of a plan.
+cache: the build is under 1 % of a plan. The window moves on one step at a
+time, so each step's root LP starts from the previous step's optimal root
+basis shifted one step (`_shift_basis`), and cold only at the first step or
+when the shifted basis would not be square.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .devices import FridgeDiscretization, fridge_discretize, fridge_energy
 from .errors import InfeasiblePlanError, MilpError
 from .milp import MilpSolution, SolverOptions, StandardForm, check_solution, dump_lp, solve_milp
 from .milp.branch_bound import FEASIBILITY_TOL, INTEGRALITY_TOL
+from .milp.simplex import AT_LB, BASIC, Basis, cold_status
 from .scenario import ForecastWindow
 
 if TYPE_CHECKING:  # runtime import would be circular (plant imports controllers)
@@ -196,6 +200,48 @@ def build_mpc_milp(state: "PlantState", forecast: ForecastWindow,
     return std
 
 
+def _shift_basis(basis: Basis, std: StandardForm) -> Basis | None:
+    """The previous step's root basis moved on one step, as the start of
+    this step's root LP; None (start cold) when it does not fit.
+
+    The step-0 columns and the slacks of rows 0-3 are dropped, and every
+    other column and slack moves down one step, basic ones keeping their
+    place in the basis order. In the new last step t_fr, e_bat and the
+    balance and band slacks are basic; the other columns sit at the bound a
+    cold start picks, and the slacks of the two dynamics rows, which are
+    equalities, at 0.
+    """
+    n = std.n // len(_BLOCKS)
+    if basis.status.size != std.n + std.m:  # the horizon length has changed
+        return None
+    rows = basis.rows
+    step = np.where(rows < std.n, rows % n, (rows - std.n) // len(_ROWS))
+    # The horizon is block lower-triangular: a column of step j touches only
+    # rows of steps j and j+1. Ordered by step, the previous basis is
+    # [[B00, 0], [B10, B11]], with B00 the step-0 basics on rows 0-3. When
+    # step 0 holds exactly four basics, B00 is square, so B11 (the later
+    # steps' basics on their own rows) is nonsingular. The forecast slides
+    # one step, so B11 is the block of steps 0..N-2 in the new form; the new
+    # last step adds a unit lower-triangular block on its own rows. The
+    # shifted basis then has exactly m columns and is nonsingular. With any
+    # other count it has more or fewer than m columns: start cold.
+    if np.count_nonzero(step == 0) != len(_ROWS):
+        return None
+    kept = rows[step > 0]
+    last = np.arange(len(_BLOCKS)) * n + n - 1
+    added = [last[_BLOCKS.index("t_fr")], last[_BLOCKS.index("e_bat")],
+             std.n + std.m - 2, std.n + std.m - 1]  # the balance and band slacks
+    rows = np.concatenate([kept - np.where(kept < std.n, 1, len(_ROWS)), added])
+
+    cols = basis.status[: std.n].reshape(len(_BLOCKS), n)
+    slacks = basis.status[std.n:].reshape(n, len(_ROWS))
+    cols = np.column_stack([cols[:, 1:], cold_status(std.c[last], std.lb[last], std.ub[last])])
+    slacks = np.vstack([slacks[1:], [AT_LB, AT_LB, BASIC, BASIC]])
+    status = np.concatenate([cols.ravel(), slacks.ravel()])
+    status[rows] = BASIC
+    return Basis(rows, status)
+
+
 def _check_state(state: "PlantState", config: SystemConfig) -> None:
     bat = config.battery
     if not (bat.e_min_wh - 1e-6 <= state.e_bat_wh <= bat.e_max_wh + 1e-6):
@@ -342,8 +388,12 @@ def _fallback_command(state: "PlantState", forecast: ForecastWindow,
 
 def plan(state: "PlantState", forecast: ForecastWindow, config: SystemConfig,
          options: SolverOptions | None = None,
-         dump_dir: str | Path | None = None) -> MpcPlan:
+         dump_dir: str | Path | None = None,
+         previous_root: Basis | None = None) -> MpcPlan:
     """Solve the horizon problem and extract per-step commands.
+
+    `previous_root` is the root basis of the previous step's plan; the root
+    LP starts from it shifted one step when it fits, else cold.
 
     Raises InfeasiblePlanError (with an LP-format model dump) if the MILP has
     no feasible point; falls back to a dead-band command when the solver hits
@@ -353,7 +403,8 @@ def plan(state: "PlantState", forecast: ForecastWindow, config: SystemConfig,
     options = options or SolverOptions()
     std, ix = _build(state.e_bat_wh, state.t_fr_c, forecast, config)
     seeds = _greedy_seeds(state.e_bat_wh, state.t_fr_c, forecast, config, ix)
-    solution = solve_milp(std, options, initial_solution=seeds)
+    root_start = None if previous_root is None else _shift_basis(previous_root, std)
+    solution = solve_milp(std, options, initial_solution=seeds, root_start=root_start)
 
     if solution.status == "Infeasible":
         directory = Path(dump_dir) if dump_dir else Path(tempfile.gettempdir())
@@ -435,7 +486,8 @@ def _audit_dynamics(state: "PlantState", forecast: ForecastWindow,
 
 
 class MpcController:
-    """Receding-horizon controller: one plan per plant step, first command applied."""
+    """Receding-horizon controller: one plan per plant step, first command
+    applied; each plan's root LP starts from the last plan's root basis."""
 
     def __init__(self, config: SystemConfig, options: SolverOptions | None = None,
                  forecast_noise=None, dump_dir: str | Path | None = None):
@@ -451,7 +503,9 @@ class MpcController:
         forecast = scenario.forecast(k, self.config.horizon_steps)
         if self.forecast_noise is not None:
             forecast = self.forecast_noise(forecast, k)
-        p = plan(state, forecast, self.config, self.options, dump_dir=self.dump_dir)
+        previous_root = self.last_plan.solver.root_basis if self.last_plan is not None else None
+        p = plan(state, forecast, self.config, self.options, dump_dir=self.dump_dir,
+                 previous_root=previous_root)
         self.last_plan = p
         cmd = p.first
         return ControllerDecision(

@@ -87,21 +87,29 @@ class SystemSize:
                 f"{self.n_battery_units} battery units")
 
 
+def _count(ratio: float, what: str) -> int:
+    """Units needed for a demand-over-capacity ratio; finite fields can still
+    overflow it (1e308 Wh over 1e308 days, or a denormal insolation)."""
+    if not math.isfinite(ratio):
+        raise ConfigError(f"{what} count overflows: the sizing inputs are out of range")
+    return math.ceil(ratio)
+
+
 def size_system(spec: SizingSpec, label: str = "sized") -> SystemSize:
     """Panel and battery counts to carry the demand through the storage days."""
     if spec.insolation_psh == 0:
         raise ConfigError("cannot size for zero sun")
-    n_series = math.ceil(spec.system_voltage_v / spec.battery_nominal_v)
+    n_series = _count(spec.system_voltage_v / spec.battery_nominal_v, "battery series")
     usable_string_wh = n_series * spec.battery_unit_wh * spec.depth_of_discharge
-    n_strings = math.ceil(
+    n_strings = _count(
         spec.daily_demand_wh * spec.storage_days
-        / (usable_string_wh * spec.inverter_efficiency)
-    )
-    n_panels = math.ceil(
+        / (usable_string_wh * spec.inverter_efficiency), "battery string")
+    n_panels = _count(
         spec.daily_demand_wh
-        / (spec.insolation_psh * spec.panel_rated_w * spec.inverter_efficiency)
-    )
-    cost = n_panels * spec.panel_cost + n_series * n_strings * spec.battery_cost
+        / (spec.insolation_psh * spec.panel_rated_w * spec.inverter_efficiency), "panel")
+    cost = n_panels * spec.panel_cost + n_series * (n_strings * spec.battery_cost)
+    if not math.isfinite(cost):
+        raise ConfigError("hardware cost overflows: the sizing inputs are out of range")
     return SystemSize(
         label=label,
         n_panels_parallel=n_panels,

@@ -1,5 +1,6 @@
 """End-to-end CLI tests on tiny scenarios (desk horizons shrunk further)."""
 
+import concurrent.futures
 import csv
 
 import pytest
@@ -124,6 +125,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error:" in err and "--violation-tol" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag,field", [("--gap", "rel_gap_limit"),
+                                            ("--time-limit", "time_limit")])
+    def test_infinite_solver_limit_fails_with_message(self, tmp_path, capsys, flag, field):
+        code = run("--out", tmp_path, "simulate", "--days", "0.05", "--horizon", "3", flag, "inf")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {field} must be positive and finite, got inf" in err
+        assert "Traceback" not in err and not (tmp_path / "trace.csv").exists()
+
 
 class TestCompare:
     def test_emits_two_metric_rows(self, tmp_path, weather_csv, capsys):
@@ -178,6 +188,43 @@ class TestSweep:
         assert a == b
 
 
+    def test_workers_capped_at_job_count(self, tmp_path, monkeypatch):
+        # A stand-in pool that records its size and runs the jobs in this
+        # process, so no worker is ever started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        args = ["sweep-sizes", "--days", "0.05", "--profile", "clear",
+                "--horizon", "3", "--time-limit", "2"]
+        assert run("--out", tmp_path / "serial", *args) == 0
+        assert run("--out", tmp_path / "many", "--jobs", "64", *args) == 0
+        assert run("--out", tmp_path / "two", "--jobs", "2", *args) == 0
+        assert sizes == [7, 2]
+        serial = (tmp_path / "serial" / "sweep.csv").read_text()
+        assert (tmp_path / "many" / "sweep.csv").read_text() == serial
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_fail_with_message(self, tmp_path, capsys, monkeypatch, jobs):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+        assert run("--out", tmp_path, "--jobs", jobs, "sweep-sizes", "--days", "0.05") == 1
+        err = capsys.readouterr().err
+        assert f"error: --jobs must be >= 1, got {jobs}" in err
+        assert not (tmp_path / "sweep.csv").exists()
+
+
 class TestSize:
     def test_reference_output(self, capsys):
         assert run("size") == 0
@@ -191,6 +238,15 @@ class TestSize:
         assert run("size", "--storage-days", "2") == 0
         out = capsys.readouterr().out
         assert "battery units          4" in out
+
+    @pytest.mark.parametrize("argv,what", [
+        (["--demand-wh", "1e308", "--storage-days", "1e308"], "battery string count"),
+        (["--insolation", "1e-320"], "panel count"),
+    ])
+    def test_overflowing_sizing_fails_with_message(self, capsys, argv, what):
+        assert run("size", *argv) == 1
+        err = capsys.readouterr().err
+        assert f"error: {what} overflows" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("flag,field", [("--demand-wh", "daily_demand_wh"),
                                             ("--storage-days", "storage_days"),

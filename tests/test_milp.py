@@ -478,6 +478,11 @@ class TestSolverOptions:
         with pytest.raises(MilpError, match=f"{field} must be positive"):
             SolverOptions(**{field: value})
 
+    @pytest.mark.parametrize("field", ["rel_gap_limit", "time_limit"])
+    def test_rejects_infinite_limits(self, field):
+        with pytest.raises(MilpError, match=f"{field} must be positive and finite"):
+            SolverOptions(**{field: math.inf})
+
 
 NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
 

@@ -14,7 +14,7 @@ from offgrid.config import default_config
 from offgrid.devices import fridge_discretize, fridge_energy
 from offgrid.errors import DataError, InfeasiblePlanError
 from offgrid.milp import MilpModel, SolverOptions, check_solution, solve_lp, solve_milp, to_lp_text
-from offgrid.milp.simplex import solve_lp_std
+from offgrid.milp.simplex import _BoundedSimplex, solve_lp_std
 import offgrid.mpc
 from offgrid.mpc import (
     ControlCommand,
@@ -27,9 +27,10 @@ from offgrid.mpc import (
     gamma_to_discrete,
     plan,
 )
-from offgrid.plant import PlantState
+from offgrid.plant import PlantState, run_closed_loop
 from offgrid.scenario import ForecastWindow, build_scenario
 from offgrid.weather import synthesize_weather
+from tests.test_milp import linprog_oracle
 
 EXACT = SolverOptions(rel_gap_limit=1e-12, time_limit=120.0)
 NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
@@ -497,3 +498,111 @@ class TestHorizonBuild:
         x[std.names.index("g[3]")] += 1.0  # PV drawn but not used: balance[3] breaks
         report = [v for v in check_solution(std, x) if v.kind == "row"]
         assert [(v.name, v.index) for v in report] == [("balance[3]", 4 * 3 + 2)]
+
+
+# The benchmark's MPC workloads, storm extended to half a day:
+# (profile, horizon, node budget, steps, battery SOC, fridge start range, seed).
+STORM = ("post-storm", 36, 30, 72, 0.5, (2.0, 2.0), 1)
+CLEAR = ("clear", 144, 5, 12, 1.0, (1.5, 2.5), 1)
+
+
+def closed_loop(profile, horizon, node_limit, steps, soc, t_fridge_c, seed, shift=True):
+    """A closed loop of the proposed controller at a node budget. Returns the
+    trace records and, per step, the solved form, the root start it was given
+    and the solution. With `shift` off every root starts cold."""
+    rng = np.random.default_rng(seed)
+    cfg = default_config().replace(horizon_steps=horizon)
+    weather = synthesize_weather(math.ceil((steps + horizon) / 144), profile, seed=seed,
+                                 step_hours=cfg.step_hours)
+    scenario = build_scenario(weather, cfg, days=steps / 144)
+    bat = cfg.battery
+    initial = PlantState(e_bat_wh=bat.e_min_wh + soc * (bat.e_max_wh - bat.e_min_wh),
+                         t_fr_c=float(rng.uniform(*t_fridge_c)))
+    options = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=node_limit)
+    solves = []
+
+    def record(std, options, initial_solution=None, root_start=None):
+        solution = solve_milp(std, options, initial_solution=initial_solution,
+                              root_start=root_start)
+        solves.append((std, root_start, solution))
+        return solution
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(offgrid.mpc, "solve_milp", record)
+        if not shift:
+            patch.setattr(offgrid.mpc, "_shift_basis", lambda basis, std: None)
+        trace = run_closed_loop(MpcController(cfg, options), scenario, cfg,
+                                initial_state=initial)
+    assert len(trace) == steps
+    return trace.records, solves
+
+
+def without(record, *names):
+    return repr(dataclasses.replace(record, **{name: 0 for name in names}))
+
+
+@pytest.fixture(scope="module")
+def loops():
+    return {(name, shift): closed_loop(*workload, shift=shift)
+            for name, workload in (("storm", STORM), ("clear", CLEAR))
+            for shift in (True, False)}
+
+
+class TestShiftedRootStart:
+    # The weights (N - i) fall by one at every shift, so on storm windows the
+    # start is often dual infeasible and the dual pass runs on moved costs.
+    @pytest.mark.parametrize("name,shifted,moving", [("storm", 61, 39), ("clear", 11, 0)])
+    def test_shifted_roots_reach_the_cold_and_highs_optimum(self, loops, name, shifted, moving):
+        warm_iters = cold_iters = moved = 0
+        starts = [(std, start) for std, start, _ in loops[name, True][1] if start is not None]
+        assert len(starts) == shifted
+        for std, start in starts:
+            # Straight into the engine: a _Trouble here would skip the retry.
+            engine = _BoundedSimplex(std, std.lb, std.ub, start=start)
+            moved += engine.c_dual is not engine.c
+            warm = engine.solve()
+            cold = solve_lp_std(std, std.lb, std.ub)
+            assert warm.status == cold.status == "optimal"
+            assert warm.objective == pytest.approx(cold.objective, rel=1e-9, abs=0.0)
+            assert linprog_oracle(std) == ("optimal", pytest.approx(warm.objective, rel=1e-7))
+            warm_iters += warm.iterations
+            cold_iters += cold.iterations
+        assert warm_iters * 10 < cold_iters
+        assert moved == moving
+
+    def test_steps_whose_first_step_holds_five_basics_start_cold(self, loops):
+        solves = loops["storm", True][1]
+        assert [k for k, (_, start, _) in enumerate(solves) if start is None] == \
+            [0, *range(35, 45)]
+        for k in range(1, len(solves)):
+            std, basis = solves[k][0], solves[k - 1][2].root_basis
+            n = std.n // 7
+            step_zero = np.concatenate([np.arange(7) * n, std.n + np.arange(4)])
+            held = np.count_nonzero(np.isin(basis.rows, step_zero))
+            assert held == (5 if 35 <= k < 45 else 4), k
+
+    def test_closed_loop_repeats_bit_for_bit(self, loops):
+        again, _ = closed_loop(*STORM)
+        first = loops["storm", True][0]
+        assert [without(r, "solver_wall_s") for r in again] == \
+            [without(r, "solver_wall_s") for r in first]
+
+    def test_decisions_equal_those_of_cold_roots(self, loops):
+        for shifted, cold in zip(loops["clear", True][0], loops["clear", False][0]):
+            assert without(shifted, "solver_wall_s", "solver_iterations") == \
+                without(cold, "solver_wall_s", "solver_iterations")
+        # On storm steps that stall or stop at the gap, a different optimal
+        # root vertex grows a different tree, so the bound and gap may move;
+        # commands, status, objective and nodes may not.
+        for shifted, cold in zip(loops["storm", True][0], loops["storm", False][0]):
+            volatile = ("solver_wall_s", "solver_iterations", "solver_bound", "solver_rel_gap")
+            assert without(shifted, *volatile) == without(cold, *volatile)
+            if shifted.solver_bound != cold.solver_bound:
+                assert shifted.solver_status in ("TimeLimit", "GapLimit")
+                assert shifted.solver_bound == pytest.approx(cold.solver_bound, rel=0.05)
+
+    def test_episode_iterations_fall(self, loops):
+        for name in ("storm", "clear"):
+            shifted = sum(r.solver_iterations for r in loops[name, True][0])
+            cold = sum(r.solver_iterations for r in loops[name, False][0])
+            assert shifted < cold / 2

@@ -49,6 +49,18 @@ class TestSizeSystem:
         with pytest.raises(ConfigError, match="zero sun"):
             size_system(dataclasses.replace(SizingSpec(), insolation_psh=0.0))
 
+    @pytest.mark.parametrize("overrides,what", [
+        ({"daily_demand_wh": 1e308, "storage_days": 1e308}, "battery string count"),
+        ({"insolation_psh": 1e-320}, "panel count"),
+        ({"system_voltage_v": 1e308, "battery_nominal_v": 1e-300}, "battery series count"),
+        ({"daily_demand_wh": 1e308, "insolation_psh": 0.01}, "hardware cost"),
+        ({"daily_demand_wh": 2e8, "battery_unit_wh": 1e-300}, "hardware cost"),
+    ])
+    def test_finite_fields_that_overflow_rejected(self, overrides, what):
+        spec = dataclasses.replace(SizingSpec(), **overrides)
+        with pytest.raises(ConfigError, match=f"{what} overflows"):
+            size_system(spec)
+
     def test_series_count_from_bus_voltage(self):
         spec = dataclasses.replace(SizingSpec(), system_voltage_v=48.0)
         assert size_system(spec).n_battery_series == 4
