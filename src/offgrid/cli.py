@@ -47,7 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, default=None,
                    help="YAML system configuration (defaults: reference system)")
     p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
     p.add_argument("--seed", type=int, default=0, help="seed for synthetic weather")
     p.add_argument("--paper-scale", action="store_true",
                    help="24 h horizon (N=144) and 300 s solver budget instead of the "
@@ -65,6 +64,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp = sub.add_parser("sweep-sizes",
                          help="baseline across the size ladder plus proposed at size A")
     _add_run_args(swp)
+    swp.add_argument("--jobs", type=int, default=1, help="parallel sweep workers")
 
     sz = sub.add_parser("size", help="standalone PV+battery sizing")
     sz.add_argument("--demand-wh", type=float, default=None)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigError
+from .errors import ConfigError, check_number, check_numbers
 from .schedule import SecondaryLoadSchedule
 
 STEP_HOURS_DEFAULT = 1.0 / 6.0  # 10-minute control interval
@@ -36,6 +36,7 @@ class PvArrayParams:
     faiman_literal: bool = False
 
     def __post_init__(self):
+        check_numbers(self, "pv.")
         if self.n_panels < 1:
             raise ConfigError("pv.n_panels must be >= 1")
         if self.p_rated_w <= 0:
@@ -60,6 +61,7 @@ class BatteryParams:
     eta_discharge: float = 0.9
 
     def __post_init__(self):
+        check_numbers(self, "battery.")
         if not 0 <= self.e_min_wh < self.e_max_wh:
             raise ConfigError("battery bounds must satisfy 0 <= e_min_wh < e_max_wh")
         if self.e_charge_max_wh <= 0 or self.e_discharge_max_wh <= 0:
@@ -82,6 +84,7 @@ class FridgeParams:
     t_max_c: float = 4.0
 
     def __post_init__(self):
+        check_numbers(self, "fridge.")
         if self.c_thermal_j_per_c <= 0:
             raise ConfigError("fridge.c_thermal_j_per_c must be > 0")
         if self.r_thermal_c_per_w <= 0:
@@ -107,6 +110,7 @@ class MpcParams:
     gamma_max: float = 2.0
 
     def __post_init__(self):
+        check_numbers(self, "mpc.")
         for name in ("lambda1", "lambda2", "lambda3", "lambda4"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"mpc.{name} must be >= 0")
@@ -129,6 +133,7 @@ class HouseTempParams:
     trace_csv: str | None = None
 
     def __post_init__(self):
+        check_numbers(self, "house.")
         if self.amplitude_c < 0:
             raise ConfigError("house.amplitude_c must be >= 0")
         if not 0 <= self.peak_hour < 24:
@@ -159,6 +164,7 @@ class SystemConfig:
     horizon_steps: int = 144
 
     def __post_init__(self):
+        check_numbers(self, "")
         if not 0 < self.inverter_efficiency <= 1:
             raise ConfigError("inverter efficiency must lie in (0,1]")
         if self.step_hours <= 0:
@@ -216,8 +222,6 @@ def _build_section(cls, data: dict, path: str):
         raise ConfigError(f"{path}: unknown field(s) {sorted(unknown)}")
     try:
         return cls(**data)
-    except ConfigError:
-        raise
     except TypeError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -249,10 +253,11 @@ def config_from_dict(data: dict | None) -> SystemConfig:
         )
     if "step_minutes" in data and "step_hours" in data:
         raise ConfigError("give either step_minutes or step_hours, not both")
-    if "step_minutes" in data:
-        kwargs["step_hours"] = float(data.pop("step_minutes")) / 60.0
-    if "step_hours" in data:
-        kwargs["step_hours"] = float(data.pop("step_hours"))
+    for key, per_hour in (("step_minutes", 60.0), ("step_hours", 1.0)):
+        if key in data:
+            value = data.pop(key)
+            check_number(key, value)
+            kwargs["step_hours"] = value / per_hour
     for scalar in ("inverter_efficiency", "horizon_steps"):
         if scalar in data:
             kwargs[scalar] = data.pop(scalar)

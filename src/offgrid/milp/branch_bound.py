@@ -101,10 +101,8 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
     incumbent_obj = math.inf
     if initial_solution is not None:
         if isinstance(initial_solution, np.ndarray):
-            candidates = [initial_solution]
-        else:
-            candidates = list(initial_solution)
-        for cand in candidates:
+            initial_solution = [initial_solution]
+        for cand in initial_solution:
             cand = np.asarray(cand, dtype=float)
             if check_solution(std, cand, FEASIBILITY_TOL, INTEGRALITY_TOL):
                 continue
@@ -115,35 +113,29 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
 
     total_iters = 0
     nodes = 0
-    root_basis: Basis | None = None
 
     def elapsed() -> float:
         return time.perf_counter() - t0
 
     def done(status: str, best_bound: float, message: str = "") -> MilpSolution:
-        obj = incumbent_obj if incumbent_x is not None else math.inf
-        if incumbent_x is not None:
-            best_bound = min(best_bound, obj)
-            gap = relative_gap(obj, best_bound)
-        else:
-            gap = math.inf
+        # incumbent_obj is inf, and so the gap, while there is no incumbent
+        best_bound = min(best_bound, incumbent_obj)
         return MilpSolution(
             status=status,
             values=incumbent_x.copy() if incumbent_x is not None else None,
-            objective=obj,
+            objective=incumbent_obj,
             best_bound=best_bound,
-            rel_gap=gap,
+            rel_gap=relative_gap(incumbent_obj, best_bound),
             nodes_explored=nodes,
             wall_time=elapsed(),
             simplex_iterations=total_iters,
             message=message,
-            root_basis=root_basis,
+            root_basis=root.basis,
         )
 
     root = solve_lp_std(std, std.lb, std.ub, start=root_start)
     nodes += 1
     total_iters += root.iterations
-    root_basis = root.basis
     if root.status == INFEASIBLE:
         return done("Infeasible", math.inf, root.message)
     if root.status == UNBOUNDED:
@@ -152,8 +144,6 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
         return done("NumericalFailure", -math.inf, root.message)
 
     def is_integral(x: np.ndarray) -> bool:
-        if bin_idx.size == 0:
-            return True
         vals = x[bin_idx]
         return bool(np.max(np.abs(vals - np.round(vals)), initial=0.0) <= INTEGRALITY_TOL)
 
@@ -182,17 +172,16 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
 
     while heap:
         bound, _n, x_lp, lb, ub, basis = heapq.heappop(heap)
-        global_bound = min(bound, incumbent_obj)
 
         if incumbent_x is not None:
             if bound >= incumbent_obj - 1e-9:
                 return done("Optimal", incumbent_obj)
-            if relative_gap(incumbent_obj, global_bound) <= options.rel_gap_limit:
-                return done("GapLimit", global_bound)
+            if relative_gap(incumbent_obj, bound) <= options.rel_gap_limit:
+                return done("GapLimit", bound)
         if elapsed() > options.time_limit:
-            return done("TimeLimit", global_bound, "wall-clock limit reached")
+            return done("TimeLimit", bound, "wall-clock limit reached")
         if options.node_limit is not None and nodes >= options.node_limit:
-            return done("TimeLimit", global_bound, "node budget exhausted")
+            return done("TimeLimit", bound, "node budget exhausted")
 
         fracs = np.abs(x_lp[bin_idx] - np.round(x_lp[bin_idx]))
         j = int(bin_idx[int(np.argmax(np.minimum(fracs, 1.0 - fracs)))])
@@ -209,7 +198,7 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             if res.status == INFEASIBLE:
                 continue
             if res.status != OPTIMAL:
-                return done("NumericalFailure", global_bound, res.message)
+                return done("NumericalFailure", bound, res.message)
             child_bound = max(res.objective, bound)
             if incumbent_x is not None and child_bound >= incumbent_obj - 1e-9:
                 continue

@@ -14,13 +14,13 @@ identity, with each structural at the bound its cost favours. An LP may
 instead start from a given basis of the same form, with the nonbasic
 variables at their bounds: the optimal basis of an LP that differs only in
 its variable bounds (a branch-and-bound child, a round-and-fix LP), or the
-previous MPC step's root basis shifted one step. The dual simplex runs on
-costs made dual feasible for the start by one rule for every start: each
-nonbasic cost whose reduced cost has the wrong sign for its status is moved
-so that its reduced cost is 0. A cold start moves only costs whose sign no
-finite bound fits (to 0), and an optimal basis under new bounds moves none.
-The primal simplex then runs on the true costs. Either way an infeasible LP
-is proven by a dual ratio test that finds no entering column.
+previous MPC step's root basis shifted one step. The dual simplex starts
+from the start's reduced costs, with one rule for every start: each nonbasic
+reduced cost of the wrong sign for its status is taken as 0. A cold start
+zeroes only the costs whose sign no finite bound fits, and an optimal basis
+under new bounds zeroes none. The primal simplex then runs on the true
+costs. Either way an infeasible LP is proven by a dual ratio test that finds
+no entering column.
 
 Pivoting is deterministic: Dantzig pricing (largest reduced cost, lowest
 index on ties), switching to Bland's rule after a run of degenerate steps.
@@ -88,12 +88,11 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
     basis of an LP that differs only in bounds; the solve then reoptimizes
     from it with the dual simplex.
     """
-    iterations = 0
     try:
         engine = _BoundedSimplex(std, lb, ub, start=start)
         return engine.solve()
     except _Trouble as exc:
-        iterations = getattr(exc, "iterations", 0)
+        iterations = exc.iterations
     # Deterministic retry: cold, Bland from the start, refactor on every pivot.
     try:
         engine = _BoundedSimplex(std, lb, ub, bland=True, refactor_every=1)
@@ -102,7 +101,7 @@ def solve_lp_std(std: StandardForm, lb: np.ndarray, ub: np.ndarray,
         return result
     except _Trouble as exc:
         return LpResult(NUMERICAL, None, math.nan,
-                        iterations + getattr(exc, "iterations", 0), str(exc))
+                        iterations + exc.iterations, str(exc))
 
 
 def cold_status(c: np.ndarray, lb: np.ndarray, ub: np.ndarray) -> np.ndarray:
@@ -147,7 +146,7 @@ class _BoundedSimplex:
         self.lb = np.concatenate([lb, std.slack_lb])
         self.ub = np.concatenate([ub, std.slack_ub])
         if np.any(self.lb[: self.n] > self.ub[: self.n]):
-            raise _Trouble("crossed variable bounds")
+            raise self._trouble("crossed variable bounds")
 
         self.lu = _IdentityFactor()
         self.etas: list[tuple[int, np.ndarray]] = []
@@ -155,7 +154,6 @@ class _BoundedSimplex:
             self._slack_basis()
         else:
             self._load_basis(start)
-        self.c_dual = self._dual_costs()
 
     # -- setup --------------------------------------------------------------
 
@@ -179,22 +177,18 @@ class _BoundedSimplex:
         self._refactor()
 
     def _dual_costs(self) -> np.ndarray:
-        """The costs the dual simplex runs on: the true ones, except that each
-        movable nonbasic cost whose reduced cost has the wrong sign for its
-        status (beyond DUAL_TOL) is moved so that its reduced cost is 0. On
-        the slack basis the reduced costs are the costs, so this zeroes the
-        costs whose sign no finite bound fits."""
+        """The reduced costs d = c - [A | I]^T y the dual simplex starts from,
+        with each `_wrong_sign` entry set to 0, so they are dual feasible for
+        the start. On the slack basis the reduced costs are the costs, so this
+        zeroes the costs whose sign no finite bound fits."""
         d = self.c - self.std.a_ext_t @ self._btran(self.c[self.basis])
-        wrong = self._wrong_sign(d)
-        if not wrong.any():
-            return self.c
-        c_dual = self.c.copy()
-        c_dual[wrong] -= d[wrong]
-        return c_dual
+        d[self._wrong_sign(d)] = 0.0
+        return d
 
     def _wrong_sign(self, d: np.ndarray) -> np.ndarray:
-        """Movable nonbasic columns whose reduced cost d has the wrong sign
-        for their status, beyond DUAL_TOL: the primal simplex's candidates."""
+        """Movable nonbasic columns whose entry of d has the wrong sign for
+        their status, beyond DUAL_TOL: the primal simplex's candidates when d
+        holds reduced costs, the dual ratio test's when it is a signed row."""
         s, tol = self.status, self.DUAL_TOL
         return (self.lb < self.ub) & (((s == AT_LB) & (d < -tol)) | ((s == AT_UB) & (d > tol))
                                       | ((s == FREE) & (np.abs(d) > tol)))
@@ -270,10 +264,7 @@ class _BoundedSimplex:
             else:
                 score = np.where(eligible, np.abs(d), -1.0)
                 j = int(np.argmax(score))
-            if self.status[j] == AT_LB or (self.status[j] == FREE and d[j] < 0):
-                sigma = 1.0
-            else:
-                sigma = -1.0
+            sigma = 1.0 if d[j] < 0 else -1.0  # the direction that lowers the cost
 
             w = self._ftran(self._column(j))
             delta = -sigma * w
@@ -283,10 +274,8 @@ class _BoundedSimplex:
             t_arr = np.full(m, math.inf)
             pos = delta > self.PIV_TOL
             neg = delta < -self.PIV_TOL
-            if pos.any():
-                t_arr[pos] = (ub_b[pos] - xb[pos]) / delta[pos]
-            if neg.any():
-                t_arr[neg] = (lb_b[neg] - xb[neg]) / delta[neg]
+            t_arr[pos] = (ub_b[pos] - xb[pos]) / delta[pos]
+            t_arr[neg] = (lb_b[neg] - xb[neg]) / delta[neg]
             t_arr = np.maximum(t_arr, 0.0)
             t_basic = t_arr.min() if m else math.inf
             t_bound = self.ub[j] - self.lb[j]
@@ -294,8 +283,8 @@ class _BoundedSimplex:
             if not math.isfinite(t):
                 return UNBOUNDED
 
+            self.x[self.basis] = xb + t * delta
             if t_bound <= t_basic:
-                self.x[self.basis] = xb + t * delta
                 self.x[j] = self.ub[j] if sigma > 0 else self.lb[j]
                 self.status[j] = AT_UB if sigma > 0 else AT_LB
             else:
@@ -305,7 +294,6 @@ class _BoundedSimplex:
                 else:
                     r = int(cand[np.argmax(np.abs(delta[cand]))])
                 leave = self.basis[r]
-                self.x[self.basis] = xb + t * delta
                 self.x[j] = self.x[j] + sigma * t
                 self.x[leave] = ub_b[r] if delta[r] > 0 else lb_b[r]
                 self.status[leave] = AT_UB if delta[r] > 0 else AT_LB
@@ -321,11 +309,10 @@ class _BoundedSimplex:
                 self.degen_streak = 0
                 self.bland = self.bland_base
 
-    def _dual(self, c: np.ndarray) -> bool:
-        """Bounded dual simplex until every basic variable is within its
-        bounds; False when a row proves the LP infeasible."""
-        y = self._btran(c[self.basis])
-        d = c - self.std.a_ext_t @ y
+    def _dual(self, d: np.ndarray) -> bool:
+        """Bounded dual simplex from the dual feasible reduced costs d, until
+        every basic variable is within its bounds; False when a row proves
+        the LP infeasible."""
         while True:
             xb = self.x[self.basis]
             below = self.lb[self.basis] - xb
@@ -346,10 +333,7 @@ class _BoundedSimplex:
             alpha = self.std.a_ext_t @ self._btran(e_r)
             s = 1.0 if below[r] > 0 else -1.0
             a = s * alpha
-            movable = (self.lb < self.ub) & (self.status != BASIC)
-            eligible = movable & (((self.status == AT_LB) & (a < -self.PIV_TOL))
-                                  | ((self.status == AT_UB) & (a > self.PIV_TOL))
-                                  | ((self.status == FREE) & (np.abs(a) > self.PIV_TOL)))
+            eligible = self._wrong_sign(a)
             if not eligible.any():
                 return False
             ratio = np.full(self.nt, math.inf)
@@ -376,7 +360,7 @@ class _BoundedSimplex:
     # -- driver ---------------------------------------------------------------
 
     def solve(self) -> LpResult:
-        if not self._dual(self.c_dual):
+        if not self._dual(self._dual_costs()):
             return LpResult(INFEASIBLE, None, math.nan, self.iterations,
                             "dual simplex: a basic variable cannot reach its bounds")
         if self._iterate(self.c) == UNBOUNDED:

@@ -233,9 +233,9 @@ ControllerName = Literal["proposed", "baseline"]
 
 
 def make_controller(name: ControllerName, config: SystemConfig,
-                    options: SolverOptions | None = None, forecast_noise=None):
+                    options: SolverOptions | None = None):
     if name == "proposed":
-        return MpcController(config, options, forecast_noise=forecast_noise)
+        return MpcController(config, options)
     if name == "baseline":
         from .baseline import BaselineController
 
@@ -254,7 +254,6 @@ def run_closed_loop(
     config: SystemConfig,
     options: SolverOptions | None = None,
     initial_state: PlantState | None = None,
-    forecast_noise=None,
 ) -> SimulationTrace:
     """Simulate the plant under a controller for the scenario's window.
 
@@ -263,7 +262,7 @@ def run_closed_loop(
     """
     if isinstance(controller, str):
         name = controller
-        controller = make_controller(controller, config, options, forecast_noise)
+        controller = make_controller(controller, config, options)
     else:
         name = type(controller).__name__
     state = initial_state or initial_plant_state(config)

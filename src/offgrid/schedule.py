@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 
 _WINDOW_RE = re.compile(r"^(\d{1,2}):(\d{2})-(\d{1,2}):(\d{2})$")
 
@@ -69,6 +69,7 @@ class SecondaryLoadSchedule:
     p_fan_w: float
 
     def __post_init__(self):
+        check_numbers(self, "loads.")
         if self.n_lights < 0 or self.n_fans < 0:
             raise ConfigError("load counts must be >= 0")
         if self.p_light_w < 0 or self.p_fan_w < 0:

@@ -14,7 +14,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_numbers
 
 PANEL_UNIT_COST = 100.0
 BATTERY_UNIT_COST = 400.0
@@ -44,10 +44,7 @@ class SizingSpec:
     inverter_efficiency: float = 0.9
 
     def __post_init__(self):
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if not math.isfinite(value):
-                raise ConfigError(f"sizing.{f.name} must be finite, got {value}")
+        check_numbers(self, "sizing.")
         positives = (
             "daily_demand_wh", "storage_days", "system_voltage_v",
             "panel_rated_w", "panel_cost", "battery_unit_wh",

@@ -2,10 +2,11 @@
 
 import concurrent.futures
 import csv
+from pathlib import Path
 
 import pytest
 
-from offgrid.cli import main, read_solver_log
+from offgrid.cli import _build_parser, main, read_solver_log
 from offgrid.metrics import load_metrics
 from offgrid.plant import read_trace_csv
 from offgrid.weather import parse_weather_csv
@@ -135,6 +136,21 @@ class TestSimulate:
         assert "Traceback" not in err and not (tmp_path / "trace.csv").exists()
 
 
+    @pytest.mark.parametrize("line,message", [
+        ("mpc: {lambda1: .nan}", "mpc.lambda1 must be finite, got nan"),
+        ("step_minutes: abc", "step_minutes must be a number, got 'abc'"),
+    ])
+    def test_bad_config_number_fails_with_message(self, tmp_path, capsys, line, message):
+        config = tmp_path / "bad.yaml"
+        config.write_text(line + "\n")
+        code = run("--config", config, "--out", tmp_path, "simulate",
+                   "--controller", "baseline", "--days", "0.05")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "trace.csv").exists()
+
+
 class TestCompare:
     def test_emits_two_metric_rows(self, tmp_path, weather_csv, capsys):
         out = tmp_path / "cmp"
@@ -182,7 +198,7 @@ class TestSweep:
         args = ["sweep-sizes", "--days", "0.25", "--profile", "clear",
                 "--horizon", "6", "--time-limit", "2"]
         assert run("--out", serial, *args) == 0
-        assert run("--out", parallel, "--jobs", "3", *args) == 0
+        assert run("--out", parallel, *args, "--jobs", "3") == 0
         a = (serial / "sweep.csv").read_text()
         b = (parallel / "sweep.csv").read_text()
         assert a == b
@@ -210,8 +226,8 @@ class TestSweep:
         args = ["sweep-sizes", "--days", "0.05", "--profile", "clear",
                 "--horizon", "3", "--time-limit", "2"]
         assert run("--out", tmp_path / "serial", *args) == 0
-        assert run("--out", tmp_path / "many", "--jobs", "64", *args) == 0
-        assert run("--out", tmp_path / "two", "--jobs", "2", *args) == 0
+        assert run("--out", tmp_path / "many", *args, "--jobs", "64") == 0
+        assert run("--out", tmp_path / "two", *args, "--jobs", "2") == 0
         assert sizes == [7, 2]
         serial = (tmp_path / "serial" / "sweep.csv").read_text()
         assert (tmp_path / "many" / "sweep.csv").read_text() == serial
@@ -219,7 +235,7 @@ class TestSweep:
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_fail_with_message(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
-        assert run("--out", tmp_path, "--jobs", jobs, "sweep-sizes", "--days", "0.05") == 1
+        assert run("--out", tmp_path, "sweep-sizes", "--jobs", jobs, "--days", "0.05") == 1
         err = capsys.readouterr().err
         assert f"error: --jobs must be >= 1, got {jobs}" in err
         assert not (tmp_path / "sweep.csv").exists()
@@ -256,3 +272,13 @@ class TestSize:
         assert run("size", flag, value) == 1
         err = capsys.readouterr().err
         assert f"error: sizing.{field} must be finite" in err and "Traceback" not in err
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        examples = [line.split() for line in block.splitlines() if line.startswith("offgrid ")]
+        assert len(examples) == 5
+        for argv in examples:
+            _build_parser().parse_args(argv[1:])  # exits 2 on a flag it does not take

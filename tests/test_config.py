@@ -1,5 +1,8 @@
 """Configuration defaults, validation and round-trip tests."""
 
+import math
+import re
+
 import pytest
 
 from offgrid.config import (
@@ -46,7 +49,43 @@ class TestDefaults:
         assert cfg.battery.e_max_wh == 10800
 
 
+def numeric_fields() -> list[str]:
+    """Every numeric field of the config file, as `<section>.<field>` (or
+    the bare name at top level)."""
+    out = []
+    for key, value in config_to_dict(default_config()).items():
+        if isinstance(value, dict):
+            out += [f"{key}.{name}" for name, v in value.items() if type(v) in (int, float)]
+        elif type(value) in (int, float):
+            out.append(key)
+    return out
+
+
 class TestValidation:
+    def test_numeric_fields_cover_every_section(self):
+        fields = numeric_fields()
+        assert {f.partition(".")[0] for f in fields} == {
+            "pv", "battery", "fridge", "loads", "house", "mpc",
+            "inverter_efficiency", "step_minutes", "horizon_steps"}
+        assert {"loads.n_lights", "loads.p_light_w", "loads.n_fans", "loads.p_fan_w"} <= set(fields)
+
+    @pytest.mark.parametrize("path", numeric_fields() + ["step_hours"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "abc"])
+    def test_non_finite_or_non_numeric_field_rejected(self, path, value):
+        section, _, name = path.rpartition(".")
+        data = {section: {name: value}} if section else {name: value}
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be"):
+            config_from_dict(data)
+
+    @pytest.mark.parametrize("data,path", [
+        ({"horizon_steps": 2.5}, "horizon_steps"),
+        ({"loads": {"n_fans": 1.5}}, "loads.n_fans"),
+        ({"pv": {"n_panels": True}}, "pv.n_panels"),
+    ])
+    def test_counts_must_be_whole_numbers(self, data, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)} must be a"):
+            config_from_dict(data)
+
     def test_inverter_efficiency_range(self):
         with pytest.raises(ConfigError, match="inverter efficiency"):
             SystemConfig(inverter_efficiency=1.2)

@@ -453,14 +453,16 @@ class TestSlackBasis:
                 else:
                     assert (status, x) == (FREE, 0.0)
             assert np.allclose(engine.x[n:], std.b - std.a_csc @ engine.x[:n])
-            # The slack basis prices every column at its cost: the shifted
-            # costs must be dual feasible for each nonbasic status.
-            d = engine.c_dual[:n]
+            # The slack basis prices every column at its cost: the starting
+            # reduced costs must be dual feasible for each nonbasic status.
+            start = engine._dual_costs()
+            d = start[:n]
             assert np.all(d[engine.status[:n] == AT_LB] >= 0)
             assert np.all(d[engine.status[:n] == AT_UB] <= 0)
             assert np.all(d[engine.status[:n] == FREE] == 0)
-            changed = engine.c_dual != engine.c
-            assert np.all(engine.c_dual[changed] == 0)
+            changed = start != engine.c
+            assert np.all(start[changed] == 0)
+            assert np.array_equal(changed, engine._wrong_sign(engine.c))
             shifted += bool(changed.any())
         assert 0 < shifted < len(models)
 
@@ -468,7 +470,8 @@ class TestSlackBasis:
     def test_horizon_forms_need_no_cost_shift(self, profile, n, soc):
         std = as_standard_form(horizon_model(profile, n, soc))
         engine = _BoundedSimplex(std, std.lb, std.ub)
-        assert engine.c_dual.tobytes() == engine.c.tobytes()
+        assert not engine._wrong_sign(engine.c).any()
+        assert engine._dual_costs().tobytes() == engine.c.tobytes()
 
 
 class TestSolverOptions:

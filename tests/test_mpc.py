@@ -550,7 +550,8 @@ def loops():
 
 class TestShiftedRootStart:
     # The weights (N - i) fall by one at every shift, so on storm windows the
-    # start is often dual infeasible and the dual pass runs on moved costs.
+    # start is often dual infeasible and the dual pass starts with some of its
+    # reduced costs set to 0.
     @pytest.mark.parametrize("name,shifted,moving", [("storm", 61, 39), ("clear", 11, 0)])
     def test_shifted_roots_reach_the_cold_and_highs_optimum(self, loops, name, shifted, moving):
         warm_iters = cold_iters = moved = 0
@@ -559,7 +560,12 @@ class TestShiftedRootStart:
         for std, start in starts:
             # Straight into the engine: a _Trouble here would skip the retry.
             engine = _BoundedSimplex(std, std.lb, std.ub, start=start)
-            moved += engine.c_dual is not engine.c
+            priced = engine.c - std.a_ext_t @ engine._btran(engine.c[engine.basis])
+            wrong = engine._wrong_sign(priced)
+            d = engine._dual_costs()
+            assert np.all(d[wrong] == 0)
+            assert d[~wrong].tobytes() == priced[~wrong].tobytes()
+            moved += bool(wrong.any())
             warm = engine.solve()
             cold = solve_lp_std(std, std.lb, std.ub)
             assert warm.status == cold.status == "optimal"
