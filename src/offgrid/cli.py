@@ -110,7 +110,8 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(rel_gap_limit=args.gap, time_limit=limit)
 
 
-def _scenario(args, cfg: SystemConfig):
+def _inputs(args, cfg: SystemConfig):
+    """The run's weather and house-temperature trace (None: the sinusoid) at cfg's step."""
     if not (math.isfinite(args.days) and args.days > 0):
         raise ConfigError(f"--days must be a positive finite number, got {args.days}")
     # checked here too, so a bad value fails before the simulation runs
@@ -124,6 +125,11 @@ def _scenario(args, cfg: SystemConfig):
         log.info("synthesized %s weather for %.1f days (seed %d)",
                  args.profile, args.days, args.seed)
     trace = load_house_trace_csv(args.house_temp, cfg.step_hours) if args.house_temp else None
+    return weather, trace
+
+
+def _scenario(args, cfg: SystemConfig):
+    weather, trace = _inputs(args, cfg)
     return build_scenario(weather, cfg, days=args.days, house_trace=trace)
 
 
@@ -211,15 +217,13 @@ def cmd_sweep_sizes(args) -> int:
     cfg = _load_config(args)
     options = _solver_options(args)
     ladder = size_ladder()
+    # Every size shares the step, so the inputs are loaded once for all of them.
+    weather, trace = _inputs(args, cfg)
     jobs = []
-    for size in ladder:
+    for size, controller in [(s, "baseline") for s in ladder] + [(ladder[0], "proposed")]:
         size_cfg = scale_config_to_size(cfg, size.n_panels_parallel, size.n_battery_units)
-        jobs.append((size.label, "baseline", size_cfg, _scenario(args, size_cfg),
-                     options, args.violation_tol))
-    size_a = ladder[0]
-    cfg_a = scale_config_to_size(cfg, size_a.n_panels_parallel, size_a.n_battery_units)
-    jobs.append((size_a.label, "proposed", cfg_a, _scenario(args, cfg_a),
-                 options, args.violation_tol))
+        scenario = build_scenario(weather, size_cfg, days=args.days, house_trace=trace)
+        jobs.append((size.label, controller, size_cfg, scenario, options, args.violation_tol))
 
     # A pool starts all its workers at once, so none beyond the job count.
     workers = min(args.jobs, len(jobs))

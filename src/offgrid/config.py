@@ -147,16 +147,7 @@ class SystemConfig:
     pv: PvArrayParams = field(default_factory=PvArrayParams)
     battery: BatteryParams = field(default_factory=BatteryParams)
     fridge: FridgeParams = field(default_factory=FridgeParams)
-    loads: SecondaryLoadSchedule = field(
-        default_factory=lambda: SecondaryLoadSchedule.from_windows(
-            light_windows=["18:00-24:00"],
-            fan_windows=["21:00-09:00"],
-            n_lights=6,
-            p_light_w=8.0,
-            n_fans=4,
-            p_fan_w=65.0,
-        )
-    )
+    loads: SecondaryLoadSchedule = field(default_factory=SecondaryLoadSchedule)
     house: HouseTempParams = field(default_factory=HouseTempParams)
     mpc: MpcParams = field(default_factory=MpcParams)
     inverter_efficiency: float = 0.9
@@ -192,25 +183,17 @@ def default_config() -> SystemConfig:
 
 
 def config_to_dict(config: SystemConfig) -> dict:
-    d = {
+    return {
         "pv": dataclasses.asdict(config.pv),
         "battery": dataclasses.asdict(config.battery),
         "fridge": dataclasses.asdict(config.fridge),
-        "loads": {
-            "light_windows": config.loads.light_windows_text(),
-            "fan_windows": config.loads.fan_windows_text(),
-            "n_lights": config.loads.n_lights,
-            "p_light_w": config.loads.p_light_w,
-            "n_fans": config.loads.n_fans,
-            "p_fan_w": config.loads.p_fan_w,
-        },
+        "loads": dataclasses.asdict(config.loads),
         "house": dataclasses.asdict(config.house),
         "mpc": dataclasses.asdict(config.mpc),
         "inverter_efficiency": config.inverter_efficiency,
         "step_minutes": config.step_hours * 60.0,
         "horizon_steps": config.horizon_steps,
     }
-    return d
 
 
 def _build_section(cls, data: dict, path: str):
@@ -233,24 +216,12 @@ def config_from_dict(data: dict | None) -> SystemConfig:
         ("pv", PvArrayParams),
         ("battery", BatteryParams),
         ("fridge", FridgeParams),
+        ("loads", SecondaryLoadSchedule),
         ("house", HouseTempParams),
         ("mpc", MpcParams),
     ):
         if section in data:
             kwargs[section] = _build_section(cls, data.pop(section), section)
-    if "loads" in data:
-        loads = data.pop("loads")
-        if not isinstance(loads, dict):
-            raise ConfigError("loads: expected a mapping")
-        defaults = SystemConfig().loads
-        kwargs["loads"] = SecondaryLoadSchedule.from_windows(
-            light_windows=loads.get("light_windows", defaults.light_windows_text()),
-            fan_windows=loads.get("fan_windows", defaults.fan_windows_text()),
-            n_lights=loads.get("n_lights", defaults.n_lights),
-            p_light_w=loads.get("p_light_w", defaults.p_light_w),
-            n_fans=loads.get("n_fans", defaults.n_fans),
-            p_fan_w=loads.get("p_fan_w", defaults.p_fan_w),
-        )
     if "step_minutes" in data and "step_hours" in data:
         raise ConfigError("give either step_minutes or step_hours, not both")
     for key, per_hour in (("step_minutes", 60.0), ("step_hours", 1.0)):

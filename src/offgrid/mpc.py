@@ -22,10 +22,11 @@ controller, which then moves whatever energy is actually available.
 
 Each step builds its horizon MILP straight into a `StandardForm`, the type
 the solver stack reads, in one vectorized pass. It is built fresh, with no
-cache: the build is under 1 % of a plan. The window moves on one step at a
-time, so each step's root LP starts from the previous step's optimal root
-basis shifted one step (`_shift_basis`), and cold only at the first step or
-when the shifted basis would not be square.
+cache: on a 2-vCPU host the build takes 0.4-0.5 ms at N=36 and 0.6-0.8 ms at
+N=144, about a tenth of a median post-storm N=36 plan (~4.5 ms). The window
+moves on one step at a time, so each step's root LP starts from the previous
+step's optimal root basis shifted one step (`_shift_basis`), and cold only at
+the first step or when the shifted basis would not be square.
 """
 
 from __future__ import annotations

@@ -196,7 +196,6 @@ def plant_step(
     # governs whether and how fast PV surplus is stored. Without this, a
     # controller-side charge command issued into a small PV deficit (the
     # inverter-loss mismatch) would shed loads while the battery sits full.
-    fr, s = cmd.u_fr, cmd.u_s
     for fr, s in ((cmd.u_fr, cmd.u_s), (cmd.u_fr, 0), (0, 0)):
         e_hl = (fr * e_fr + s * e_secondary) / config.inverter_efficiency
         if e_pv_wh + deliverable >= e_hl - BOUND_EPS:

@@ -9,9 +9,9 @@ intervals, so internally every interval lies inside [00:00, 24:00). A step is
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def parse_window(text: str) -> list[tuple[int, int]]:
     h0, m0, h1, m1 = (int(g) for g in m.groups())
     start = h0 * 60 + m0
     end = h1 * 60 + m1
-    if h0 > 24 or h1 > 24 or m0 > 59 or m1 > 59 or start > MINUTES_PER_DAY or end > MINUTES_PER_DAY:
+    if h0 > 24 or h1 > 24 or m0 > 59 or m1 > 59 or start >= MINUTES_PER_DAY or end > MINUTES_PER_DAY:
         raise ConfigError(f"schedule window {text!r} outside 00:00-24:00")
     if end == 0:
         end = MINUTES_PER_DAY
@@ -46,27 +46,35 @@ def parse_window(text: str) -> list[tuple[int, int]]:
     return [(start, end)]
 
 
-def _normalize(windows: Iterable[str]) -> list[tuple[int, int]]:
-    out: list[tuple[int, int]] = []
-    for w in windows:
-        out.extend(parse_window(w))
-    return sorted(out)
+def _parse_windows(windows, name: str) -> tuple[tuple[int, int], ...]:
+    """Sorted minute intervals of a list of "HH:MM-HH:MM" windows; errors name `name`."""
+    if not isinstance(windows, (list, tuple)) or not all(isinstance(w, str) for w in windows):
+        raise ConfigError(f"{name} must be a list of 'HH:MM-HH:MM' strings, got {windows!r}")
+    try:
+        return tuple(sorted(iv for w in windows for iv in parse_window(w)))
+    except ConfigError as exc:
+        raise ConfigError(f"{name}: {exc}") from None
 
 
-def _format_intervals(intervals: Sequence[tuple[int, int]]) -> list[str]:
-    return [f"{a // 60:02d}:{a % 60:02d}-{b // 60:02d}:{b % 60:02d}" for a, b in intervals]
+def _format_intervals(intervals: Sequence[tuple[int, int]]) -> tuple[str, ...]:
+    return tuple(f"{a // 60:02d}:{a % 60:02d}-{b // 60:02d}:{b % 60:02d}" for a, b in intervals)
 
 
 @dataclass(frozen=True)
 class SecondaryLoadSchedule:
-    """Counts, rated powers and daily on-windows of the lights and fans."""
+    """Counts, rated powers and daily on-windows of the lights and fans.
 
-    light_windows: tuple[tuple[int, int], ...]
-    fan_windows: tuple[tuple[int, int], ...]
-    n_lights: int
-    p_light_w: float
-    n_fans: int
-    p_fan_w: float
+    The windows are stored in canonical form: sorted, with a window that
+    wraps midnight split in two ("21:00-09:00" -> "00:00-09:00",
+    "21:00-24:00"). Their minute intervals are parsed once, here.
+    """
+
+    light_windows: tuple[str, ...] = ("18:00-24:00",)
+    fan_windows: tuple[str, ...] = ("21:00-09:00",)
+    n_lights: int = 6
+    p_light_w: float = 8.0
+    n_fans: int = 4
+    p_fan_w: float = 65.0
 
     def __post_init__(self):
         check_numbers(self, "loads.")
@@ -74,42 +82,18 @@ class SecondaryLoadSchedule:
             raise ConfigError("load counts must be >= 0")
         if self.p_light_w < 0 or self.p_fan_w < 0:
             raise ConfigError("load rated powers must be >= 0")
-        for a, b in (*self.light_windows, *self.fan_windows):
-            if not (0 <= a < b <= MINUTES_PER_DAY):
-                raise ConfigError(f"schedule interval ({a},{b}) outside 00:00-24:00")
-
-    @classmethod
-    def from_windows(
-        cls,
-        light_windows: Iterable[str],
-        fan_windows: Iterable[str],
-        n_lights: int,
-        p_light_w: float,
-        n_fans: int,
-        p_fan_w: float,
-    ) -> "SecondaryLoadSchedule":
-        return cls(
-            light_windows=tuple(_normalize(light_windows)),
-            fan_windows=tuple(_normalize(fan_windows)),
-            n_lights=n_lights,
-            p_light_w=p_light_w,
-            n_fans=n_fans,
-            p_fan_w=p_fan_w,
-        )
-
-    def light_windows_text(self) -> list[str]:
-        return _format_intervals(self.light_windows)
-
-    def fan_windows_text(self) -> list[str]:
-        return _format_intervals(self.fan_windows)
+        for name in ("light_windows", "fan_windows"):
+            intervals = _parse_windows(getattr(self, name), f"loads.{name}")
+            object.__setattr__(self, name, _format_intervals(intervals))
+            object.__setattr__(self, f"_{name}", intervals)  # not a field: asdict skips it
 
     def lights_on(self, when: datetime) -> bool:
         minute = when.hour * 60 + when.minute
-        return any(a <= minute < b for a, b in self.light_windows)
+        return any(a <= minute < b for a, b in self._light_windows)
 
     def fans_on(self, when: datetime) -> bool:
         minute = when.hour * 60 + when.minute
-        return any(a <= minute < b for a, b in self.fan_windows)
+        return any(a <= minute < b for a, b in self._fan_windows)
 
     def power_at(self, when: datetime) -> float:
         """Scheduled secondary power draw in W at a clock instant."""

@@ -5,8 +5,11 @@ import csv
 from pathlib import Path
 
 import pytest
+import yaml
 
+from offgrid import cli
 from offgrid.cli import _build_parser, main, read_solver_log
+from offgrid.config import config_from_dict
 from offgrid.metrics import load_metrics
 from offgrid.plant import read_trace_csv
 from offgrid.weather import parse_weather_csv
@@ -139,6 +142,10 @@ class TestSimulate:
     @pytest.mark.parametrize("line,message", [
         ("mpc: {lambda1: .nan}", "mpc.lambda1 must be finite, got nan"),
         ("step_minutes: abc", "step_minutes must be a number, got 'abc'"),
+        ("loads: {n_light: 3}", "loads: unknown field(s) ['n_light']"),
+        ("loads: {light_windows: '18:00-24:00'}", "loads.light_windows must be a list"),
+        ("loads: {light_windows: null}", "loads.light_windows must be a list"),
+        ("loads: {light_windows: [1800]}", "loads.light_windows must be a list"),
     ])
     def test_bad_config_number_fails_with_message(self, tmp_path, capsys, line, message):
         config = tmp_path / "bad.yaml"
@@ -232,6 +239,34 @@ class TestSweep:
         serial = (tmp_path / "serial" / "sweep.csv").read_text()
         assert (tmp_path / "many" / "sweep.csv").read_text() == serial
 
+    def test_weather_parsed_once(self, tmp_path, monkeypatch):
+        weather = tmp_path / "storm.csv"
+        assert run("synth-weather", "--days", "2", "--profile", "post-storm",
+                   "--out-file", weather) == 0
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args)
+            return parse_weather_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "parse_weather_csv", counting_parse)
+        assert run("--out", tmp_path, "sweep-sizes", "--weather", weather, "--days", "1",
+                   "--horizon", "6", "--time-limit", "2") == 0
+        assert len(calls) == 1
+        lines = (tmp_path / "sweep.csv").read_text().splitlines()
+        # the baseline rows as written when each size parsed the file itself
+        assert lines[:7] == [
+            "size,controller,description,cost,primary_unserved_h_per_day,"
+            "temp_violation_h_per_day,secondary_unserved_pct",
+            "A,baseline,3 PV panels + 2 battery units,1100.0,2.166667,9.166667,15.5556",
+            "B,baseline,4 PV panels + 2 battery units,1200.0,1.000000,8.333333,12.2222",
+            "C,baseline,3 PV panels + 4 battery units,1900.0,0.000000,7.500000,0.0000",
+            "D,baseline,4 PV panels + 4 battery units,2000.0,0.000000,7.500000,0.0000",
+            "E,baseline,5 PV panels + 4 battery units,2100.0,0.000000,7.500000,0.0000",
+            "F,baseline,6 PV panels + 4 battery units,2200.0,0.000000,7.500000,0.0000",
+        ]
+        assert lines[7].startswith("A,proposed,")
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_non_positive_jobs_fail_with_message(self, tmp_path, capsys, monkeypatch, jobs):
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
@@ -282,3 +317,9 @@ class TestReadme:
         assert len(examples) == 5
         for argv in examples:
             _build_parser().parse_args(argv[1:])  # exits 2 on a flag it does not take
+
+    def test_config_example_loads(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```yaml", 1)[1].split("```", 1)[0]
+        cfg = config_from_dict(yaml.safe_load(block))
+        assert (cfg.loads.n_fans, cfg.loads.p_fan_w) == (4, 65)

@@ -2,7 +2,9 @@
 
 import math
 import re
+from datetime import datetime, timedelta
 
+import numpy as np
 import pytest
 
 from offgrid.config import (
@@ -14,6 +16,7 @@ from offgrid.config import (
     save_config,
 )
 from offgrid.errors import ConfigError
+from offgrid.schedule import build_secondary_profile
 
 
 class TestDefaults:
@@ -114,6 +117,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             config_from_dict({"mpc": {"gamma_min": 0.5}})
 
+    @pytest.mark.parametrize("loads,message", [
+        ({"n_light": 3}, "loads: unknown field(s) ['n_light']"),
+        ({"light_windows": "18:00-24:00"}, "loads.light_windows must be a list"),
+        ({"light_windows": None}, "loads.light_windows must be a list"),
+        ({"light_windows": [1800]}, "loads.light_windows must be a list"),
+        ({"fan_windows": ["9pm-9am"]}, "loads.fan_windows: bad schedule window"),
+        ({"fan_windows": ["24:00-01:00"]}, "loads.fan_windows: schedule window"),
+    ])
+    def test_malformed_loads_rejected(self, loads, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+            config_from_dict({"loads": loads})
+
 
 class TestRoundTrip:
     def test_default_round_trips(self, tmp_path):
@@ -140,3 +155,73 @@ class TestRoundTrip:
     def test_dict_round_trip(self):
         cfg = default_config()
         assert config_from_dict(config_to_dict(cfg)) == cfg
+
+    def test_saved_text_is_stable(self, tmp_path):
+        # windows are written sorted, a wrapping window split at midnight
+        path = tmp_path / "cfg.yaml"
+        save_config(default_config(), path)
+        assert path.read_text() == DEFAULT_YAML
+
+
+DEFAULT_YAML = """\
+pv:
+  n_panels: 3
+  p_rated_w: 285.0
+  gamma_pct_per_c: -0.39
+  g_std_w_per_m2: 1000.0
+  t_std_c: 25.0
+  u0_w_per_m2k: 25.0
+  u1_w_per_m2k: 6.84
+  faiman_literal: false
+battery:
+  e_min_wh: 1080.0
+  e_max_wh: 5400.0
+  e_charge_max_wh: 810.0
+  e_discharge_max_wh: 844.5
+  eta_charge: 0.9
+  eta_discharge: 0.9
+fridge:
+  c_thermal_j_per_c: 8937.4
+  r_thermal_c_per_w: 1.4749
+  cop: 0.2324
+  p_rated_w: 250.0
+  t_min_c: 0.0
+  t_max_c: 4.0
+loads:
+  light_windows:
+  - 18:00-24:00
+  fan_windows:
+  - 00:00-09:00
+  - 21:00-24:00
+  n_lights: 6
+  p_light_w: 8.0
+  n_fans: 4
+  p_fan_w: 65.0
+house:
+  mean_c: 27.0
+  amplitude_c: 3.0
+  peak_hour: 15.0
+  trace_csv: null
+mpc:
+  lambda1: 1.0
+  lambda2: 1.0
+  lambda3: 1.0
+  lambda4: 10.0
+  eta_controller: 1.0
+  gamma_min: -1.0
+  gamma_max: 2.0
+inverter_efficiency: 0.9
+step_minutes: 10.0
+horizon_steps: 144
+"""
+
+
+def test_default_secondary_profile():
+    # 6 x 8 W lights 18:00-24:00 and 4 x 65 W fans 21:00-09:00, two days
+    cfg = default_config()
+    step = cfg.step_hours
+    grid = [datetime(2017, 9, 11) + timedelta(hours=k * step) for k in range(288)]
+    minute = np.arange(288) % 144 * 10
+    watts = 48.0 * (minute >= 18 * 60) + 260.0 * ((minute >= 21 * 60) | (minute < 9 * 60))
+    profile = build_secondary_profile(cfg.loads, grid, step)
+    assert profile.tobytes() == (watts * step).tobytes()

@@ -14,7 +14,7 @@ STEP = 1.0 / 6.0
 
 
 def paper_schedule():
-    return SecondaryLoadSchedule.from_windows(
+    return SecondaryLoadSchedule(
         light_windows=["18:00-24:00"],
         fan_windows=["21:00-09:00"],
         n_lights=6, p_light_w=8.0, n_fans=4, p_fan_w=65.0,
@@ -88,10 +88,12 @@ class TestSecondaryProfile:
         assert sched.power_at(t0) == sched.power_at(t1)
 
     def test_counts_and_powers_scale(self):
-        sched = SecondaryLoadSchedule.from_windows(["00:00-24:00"], [], 3, 10.0, 0, 0.0)
+        sched = SecondaryLoadSchedule(light_windows=["00:00-24:00"], fan_windows=[],
+                                      n_lights=3, p_light_w=10.0, n_fans=0, p_fan_w=0.0)
         e = build_secondary_profile(sched, grid_for_day(), STEP)
         assert np.allclose(e, 30.0 * STEP)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):
-            SecondaryLoadSchedule.from_windows([], [], -1, 8.0, 4, 65.0)
+            SecondaryLoadSchedule(light_windows=[], fan_windows=[],
+                                  n_lights=-1, p_light_w=8.0, n_fans=4, p_fan_w=65.0)
