@@ -146,11 +146,6 @@ def _write_solver_log(trace: SimulationTrace, path: Path) -> None:
                              f"{rec.solver_wall_s:.4g}", rec.fallback])
 
 
-def read_solver_log(path: str | Path) -> list[dict]:
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _run_one(controller: str, scenario, cfg: SystemConfig, options: SolverOptions,
              out_dir: Path, violation_tol: float) -> ResiliencyMetrics:
     trace = run_closed_loop(controller, scenario, cfg, options)

@@ -12,20 +12,23 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .config import BatteryParams, FridgeParams, PvArrayParams
 
 SECONDS_PER_HOUR = 3600.0
 
 
-def module_temperature(params: PvArrayParams, ghi: float, t_ambient: float, wind: float) -> float:
-    """PV module temperature from ambient temperature, irradiance and wind.
+def module_temperature(params: PvArrayParams, ghi, t_ambient, wind):
+    """PV module temperature from ambient temperature, irradiance and wind,
+    for scalars or elementwise over arrays.
 
     Default mode uses the standard wind-proportional denominator
     U0 + U1*W; `faiman_literal` switches to the additive variant U0 + U1 + W.
     """
-    if ghi < 0:
+    if np.any(ghi < 0):
         raise ValueError("ghi must be >= 0")
-    if wind < 0:
+    if np.any(wind < 0):
         raise ValueError("wind speed must be >= 0")
     if params.faiman_literal:
         denom = params.u0_w_per_m2k + params.u1_w_per_m2k + wind
@@ -34,23 +37,24 @@ def module_temperature(params: PvArrayParams, ghi: float, t_ambient: float, wind
     return t_ambient + ghi / denom
 
 
-def pv_energy(params: PvArrayParams, ghi: float, t_module: float, step_hours: float) -> float:
+def pv_energy(params: PvArrayParams, ghi, t_module, step_hours: float):
     """Array energy potential over one step, Wh, clamped below at zero.
 
-    E = n * P_rated * (G/G_std) * (1 + gamma/100 * (T_m - T_std)) * dt. The
-    temperature term can push the product negative at extreme module
-    temperatures; a panel never consumes energy, so the result is clamped.
+    E = n * P_rated * (G/G_std) * (1 + gamma/100 * (T_m - T_std)) * dt, for
+    scalars or elementwise over arrays. The temperature term can push the
+    product negative at extreme module temperatures; a panel never consumes
+    energy, so the result is clamped (a signed zero to +0.0).
     """
-    if ghi < 0:
+    if np.any(ghi < 0):
         raise ValueError("ghi must be >= 0")
     derate = 1.0 + (params.gamma_pct_per_c / 100.0) * (t_module - params.t_std_c)
     e = params.n_panels * params.p_rated_w * (ghi / params.g_std_w_per_m2) * derate * step_hours
-    return max(0.0, e)
+    return np.maximum(e, 0.0)
 
 
-def pv_potential(params: PvArrayParams, ghi: float, t_ambient: float, wind: float,
-                 step_hours: float) -> float:
-    """PV energy potential from raw weather (module temperature resolved internally)."""
+def pv_potential(params: PvArrayParams, ghi, t_ambient, wind, step_hours: float):
+    """PV energy potential from raw weather (module temperature resolved
+    internally), for one step or elementwise over a whole series."""
     t_m = module_temperature(params, ghi, t_ambient, wind)
     return pv_energy(params, ghi, t_m, step_hours)
 

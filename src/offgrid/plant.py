@@ -267,15 +267,16 @@ def run_closed_loop(
     state = initial_state or initial_plant_state(config)
     records: list[StepRecord] = []
     for k in range(scenario.n_steps):
-        exo = scenario.at(k)
+        t_house = float(scenario.t_house[k])
+        e_secondary = float(scenario.e_secondary[k])
         decision = controller.decide(state, scenario, k)
         cmd = decision.command
         next_state, flows, fr, s = plant_step(
-            state, cmd, exo.e_pv_wh, exo.t_house_c, exo.e_secondary_wh, config,
+            state, cmd, float(scenario.pv_avail_wh[k]), t_house, e_secondary, config,
             requested=(decision.requested_u_fr, decision.requested_u_s),
         )
         rec = StepRecord(
-            timestamp=exo.timestamp,
+            timestamp=scenario.weather.timestamp(k),
             t_fr=state.t_fr_c,
             e_bat=state.e_bat_wh,
             u_fr_req=decision.requested_u_fr,
@@ -293,9 +294,9 @@ def run_closed_loop(
             e_dc=flows.e_discharge,
             unserved_fr=flows.unserved_fr,
             unserved_s=flows.unserved_s,
-            ghi=exo.ghi,
-            t_house=exo.t_house_c,
-            e_s_scheduled=exo.e_secondary_wh,
+            ghi=float(scenario.weather.ghi[k]),
+            t_house=t_house,
+            e_s_scheduled=e_secondary,
             t_fr_end=next_state.t_fr_c,
             e_bat_end=next_state.e_bat_wh,
         )

@@ -3,8 +3,10 @@
 A scenario bundles everything outside the controller's influence: resampled
 weather, the indoor house temperature (from a CSV trace or the built-in daily
 sinusoid), the scheduled secondary-load energy, and the PV energy potential.
+Each is one array over the grid, built with whole-array operations from the
+weather's clock (seconds after midnight of each step) and read by step index.
 `build_scenario` is the only place that turns weather into PV energy: the
-plant (through `at`), the baseline and the optimizing controller's forecasts
+plant and the baseline (by index) and the optimizing controller's forecasts
 (through `forecast`) all read the one `pv_avail_wh` series, so they see the
 same inputs by construction. The optimizing controller thus operates with
 perfect foresight unless a noise hook is installed at run time.
@@ -24,7 +26,7 @@ from .csvtable import parse_finite, parse_timestamp, read_table
 from .devices import pv_potential
 from .errors import DataError
 from .schedule import build_secondary_profile
-from .weather import WeatherSeries
+from .weather import WeatherSeries, check_step_hours
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,12 @@ class HouseTemperatureTrace:
         return len(self.values)
 
 
-def sinusoid_house_temperature(grid: list[datetime], params: HouseTempParams) -> np.ndarray:
-    """Daily sinusoid fallback used when no measured house trace is supplied."""
-    hod = np.array([t.hour + t.minute / 60.0 + t.second / 3600.0 for t in grid])
+def sinusoid_house_temperature(clock: np.ndarray, params: HouseTempParams) -> np.ndarray:
+    """Daily sinusoid fallback used when no measured house trace is supplied.
+
+    `clock` holds each step's start in whole seconds after midnight.
+    """
+    hod = clock // 3600 + clock // 60 % 60 / 60.0 + clock % 60 / 3600.0
     return params.mean_c + params.amplitude_c * np.cos(
         2.0 * np.pi * (hod - params.peak_hour) / 24.0
     )
@@ -55,6 +60,7 @@ def sinusoid_house_temperature(grid: list[datetime], params: HouseTempParams) ->
 
 def load_house_trace_csv(path: str | Path, step_hours: float) -> HouseTemperatureTrace:
     """Read a (timestamp, temperature) CSV and interpolate onto the control step."""
+    check_step_hours(step_hours)
     times, temps = zip(*(values for _, values in read_table(
         path, {"timestamp": parse_timestamp, "temperature": parse_finite})))
     t0 = times[0]
@@ -89,17 +95,6 @@ class ForecastWindow:
 
 
 @dataclass(frozen=True)
-class StepExogenous:
-    """Exogenous inputs at a single plant step."""
-
-    timestamp: datetime
-    ghi: float
-    e_pv_wh: float
-    t_house_c: float
-    e_secondary_wh: float
-
-
-@dataclass(frozen=True)
 class Scenario:
     """Exogenous series covering `n_steps` plant steps plus one planning horizon."""
 
@@ -118,19 +113,6 @@ class Scenario:
                 raise DataError(f"scenario series {name} shorter than simulation + horizon")
         if len(self.weather) < need:
             raise DataError("scenario weather shorter than simulation + horizon")
-
-    @property
-    def step_hours(self) -> float:
-        return self.weather.step_hours
-
-    def at(self, k: int) -> StepExogenous:
-        return StepExogenous(
-            timestamp=self.weather.timestamp(k),
-            ghi=float(self.weather.ghi[k]),
-            e_pv_wh=float(self.pv_avail_wh[k]),
-            t_house_c=float(self.t_house[k]),
-            e_secondary_wh=float(self.e_secondary[k]),
-        )
 
     def forecast(self, k: int, horizon: int) -> ForecastWindow:
         sl = slice(k, k + horizon)
@@ -159,6 +141,8 @@ def build_scenario(
         weather = resample(weather, config.step_hours)
     if days is None:
         n_steps = len(weather)
+    elif not math.isfinite(days):
+        raise DataError(f"days must be finite, got {days!r}")
     else:
         n_steps = int(round(days * 24.0 / config.step_hours))
     if n_steps < 1:
@@ -167,11 +151,11 @@ def build_scenario(
     need = n_steps + config.horizon_steps
     weather = weather.extended_by_last_day(need)
 
-    grid = weather.timestamps()
+    clock = weather.clock()
     if house_trace is None and config.house.trace_csv:
         house_trace = load_house_trace_csv(config.house.trace_csv, config.step_hours)
     if house_trace is None:
-        t_house = sinusoid_house_temperature(grid, config.house)
+        t_house = sinusoid_house_temperature(clock, config.house)
     else:
         if abs(house_trace.step_hours - config.step_hours) > 1e-9:
             raise DataError("house trace step does not match the simulation step")
@@ -184,17 +168,12 @@ def build_scenario(
             raise DataError("house temperature trace shorter than simulation + horizon")
         t_house = house_trace.values[k0 : k0 + need].astype(float)
 
-    e_secondary = build_secondary_profile(config.loads, grid, config.step_hours)
-    pv_avail = np.array([
-        pv_potential(config.pv, float(weather.ghi[k]), float(weather.t_ambient[k]),
-                     float(weather.wind_speed[k]), config.step_hours)
-        for k in range(len(weather))
-    ])
     return Scenario(
         weather=weather,
         t_house=np.asarray(t_house, dtype=float),
-        e_secondary=e_secondary,
-        pv_avail_wh=pv_avail,
+        e_secondary=build_secondary_profile(config.loads, clock, config.step_hours),
+        pv_avail_wh=pv_potential(config.pv, weather.ghi, weather.t_ambient,
+                                 weather.wind_speed, config.step_hours),
         n_steps=n_steps,
         horizon=config.horizon_steps,
     )

@@ -8,9 +8,9 @@ intervals, so internally every interval lies inside [00:00, 24:00). A step is
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
 from typing import Sequence
 
 import numpy as np
@@ -87,34 +87,31 @@ class SecondaryLoadSchedule:
             object.__setattr__(self, name, _format_intervals(intervals))
             object.__setattr__(self, f"_{name}", intervals)  # not a field: asdict skips it
 
-    def lights_on(self, when: datetime) -> bool:
-        minute = when.hour * 60 + when.minute
-        return any(a <= minute < b for a, b in self._light_windows)
-
-    def fans_on(self, when: datetime) -> bool:
-        minute = when.hour * 60 + when.minute
-        return any(a <= minute < b for a, b in self._fan_windows)
-
-    def power_at(self, when: datetime) -> float:
-        """Scheduled secondary power draw in W at a clock instant."""
-        p = 0.0
-        if self.lights_on(when):
-            p += self.n_lights * self.p_light_w
-        if self.fans_on(when):
-            p += self.n_fans * self.p_fan_w
+    def power_w(self, minute: np.ndarray) -> np.ndarray:
+        """Scheduled secondary power draw in W at each minute of the day
+        (integers in [0, 1440)); a load is on when its minute falls inside one
+        of its windows."""
+        minute = np.asarray(minute)[..., None]
+        p = np.zeros(minute.shape[:-1])
+        for intervals, watts in ((self._light_windows, self.n_lights * self.p_light_w),
+                                 (self._fan_windows, self.n_fans * self.p_fan_w)):
+            a, b = np.array(intervals, dtype=int).reshape(-1, 2).T
+            p += np.any((a <= minute) & (minute < b), axis=-1) * watts
         return p
 
 
 def build_secondary_profile(
     schedule: SecondaryLoadSchedule,
-    grid: Sequence[datetime],
+    clock: np.ndarray,
     step_hours: float,
 ) -> np.ndarray:
     """Scheduled secondary-load energy in Wh for each step of a time grid.
 
-    A step contributes (n_lights*p_light*on + n_fans*p_fan*on) * step_hours,
-    where "on" is evaluated at the step's start instant.
+    `clock` holds each step's start instant in seconds after midnight (see
+    `WeatherSeries.clock`). A step contributes
+    (n_lights*p_light*on + n_fans*p_fan*on) * step_hours, where "on" is
+    evaluated at the step's start minute.
     """
-    if step_hours <= 0:
-        raise ConfigError("step_hours must be > 0")
-    return np.array([schedule.power_at(t) * step_hours for t in grid], dtype=float)
+    if not (math.isfinite(step_hours) and step_hours > 0):
+        raise ConfigError(f"step_hours must be finite and > 0, got {step_hours!r}")
+    return schedule.power_w(clock // 60) * step_hours

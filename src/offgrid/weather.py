@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 from pathlib import Path
@@ -37,11 +38,16 @@ class WeatherSeries:
     wind_speed: np.ndarray
 
     def __post_init__(self):
+        check_step_hours(self.step_hours)
         n = len(self.ghi)
         if len(self.t_ambient) != n or len(self.wind_speed) != n:
             raise DataError("weather arrays must have equal length")
         if n == 0:
             raise DataError("no records")
+        for name in ("ghi", "t_ambient", "wind_speed"):
+            bad = np.flatnonzero(~np.isfinite(getattr(self, name)))
+            if bad.size:
+                raise DataError(f"weather {name} is not finite at record {bad[0]}")
         if np.any(self.ghi < 0):
             raise DataError("negative irradiance in series")
         if np.any(self.wind_speed < 0):
@@ -57,8 +63,13 @@ class WeatherSeries:
     def timestamp(self, k: int) -> datetime:
         return self.start + timedelta(hours=k * self.step_hours)
 
-    def timestamps(self) -> list[datetime]:
-        return [self.timestamp(k) for k in range(len(self))]
+    def clock(self) -> np.ndarray:
+        """Each record's start as whole seconds after midnight (int64): the
+        clock time of `timestamp(k)` with its fraction of a second dropped."""
+        t0 = self.start
+        us = (t0.hour * 3600 + t0.minute * 60 + t0.second) * 10**6 + t0.microsecond
+        us = us + np.round(np.arange(len(self)) * (self.step_hours * 3.6e9)).astype(np.int64)
+        return us // 10**6 % 86400
 
     def require_coverage(self, hours: float) -> None:
         if self.coverage_hours + 1e-9 < hours:
@@ -76,16 +87,16 @@ class WeatherSeries:
         series when it is shorter than a day)."""
         if len(self) >= n_steps:
             return self
-        per_day = int(round(24.0 / self.step_hours))
-        block = min(per_day, len(self))
-        ghi, tam, wnd = list(self.ghi), list(self.t_ambient), list(self.wind_speed)
-        while len(ghi) < n_steps:
-            ghi.extend(self.ghi[-block:])
-            tam.extend(self.t_ambient[-block:])
-            wnd.extend(self.wind_speed[-block:])
-        return WeatherSeries(self.start, self.step_hours,
-                             np.array(ghi[:n_steps]), np.array(tam[:n_steps]),
-                             np.array(wnd[:n_steps]))
+        head = len(self) - min(max(1, int(round(24.0 / self.step_hours))), len(self))
+        ghi, t_amb, wind = (np.concatenate([a[:head], np.resize(a[head:], n_steps - head)])
+                            for a in (self.ghi, self.t_ambient, self.wind_speed))
+        return WeatherSeries(self.start, self.step_hours, ghi, t_amb, wind)
+
+
+def check_step_hours(step_hours: float) -> None:
+    """Raise DataError unless the step is a finite number of hours > 0."""
+    if not (math.isfinite(step_hours) and step_hours > 0):
+        raise DataError(f"step_hours must be finite and > 0, got {step_hours!r}")
 
 
 def _non_negative(what: str):
@@ -111,8 +122,7 @@ def parse_weather_csv(path: str | Path, step_hours: float) -> WeatherSeries:
     Irradiance is resampled conservatively (block mean going down, sample-hold
     going up); temperature and wind speed are linearly interpolated.
     """
-    if step_hours <= 0:
-        raise DataError("step_hours must be > 0")
+    check_step_hours(step_hours)
     path = Path(path)
     lines, records = zip(*read_table(path, _PARSERS))
     timestamps, ghi, wind, t_amb = zip(*records)
@@ -213,8 +223,9 @@ def synthesize_weather(
     cloudy: the clear shape scaled to a 300 W/m2 peak with seeded variability.
     post-storm: day 1 overcast (150 W/m2 peak, windy) then clearing day by day.
     """
-    if days < 1:
-        raise DataError("days must be >= 1")
+    if not (math.isfinite(days) and days >= 1):
+        raise DataError(f"days must be finite and >= 1, got {days!r}")
+    check_step_hours(step_hours)
     if profile not in SYNTH_PROFILES:
         raise DataError(f"unknown profile {profile!r}; choose from {SYNTH_PROFILES}")
     if start is None:

@@ -8,7 +8,7 @@ import pytest
 import yaml
 
 from offgrid import cli
-from offgrid.cli import _build_parser, main, read_solver_log
+from offgrid.cli import _build_parser, main
 from offgrid.config import config_from_dict
 from offgrid.metrics import load_metrics
 from offgrid.plant import read_trace_csv
@@ -60,7 +60,8 @@ class TestSimulate:
         assert len(trace) == 36
         metrics = load_metrics(out / "metrics.txt")
         assert metrics.days == pytest.approx(0.25)
-        log_rows = read_solver_log(out / "solver_log.csv")
+        with open(out / "solver_log.csv", newline="") as fh:
+            log_rows = list(csv.DictReader(fh))
         assert len(log_rows) == 36
         assert all(r["status"] in ("Optimal", "GapLimit", "TimeLimit") for r in log_rows)
         for row, rec in zip(log_rows, trace):

@@ -2,7 +2,7 @@
 
 import math
 import re
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -17,6 +17,7 @@ from offgrid.config import (
 )
 from offgrid.errors import ConfigError
 from offgrid.schedule import build_secondary_profile
+from offgrid.weather import synthesize_weather
 
 
 class TestDefaults:
@@ -217,11 +218,13 @@ horizon_steps: 144
 
 
 def test_default_secondary_profile():
-    # 6 x 8 W lights 18:00-24:00 and 4 x 65 W fans 21:00-09:00, two days
+    # 6 x 8 W lights 18:00-24:00 and 4 x 65 W fans 21:00-09:00, two days of
+    # 10-minute steps from midnight and of 5-minute steps from 07:23:41
     cfg = default_config()
-    step = cfg.step_hours
-    grid = [datetime(2017, 9, 11) + timedelta(hours=k * step) for k in range(288)]
-    minute = np.arange(288) % 144 * 10
-    watts = 48.0 * (minute >= 18 * 60) + 260.0 * ((minute >= 21 * 60) | (minute < 9 * 60))
-    profile = build_secondary_profile(cfg.loads, grid, step)
-    assert profile.tobytes() == (watts * step).tobytes()
+    for minutes, start in ((10, datetime(2017, 9, 11)), (5, datetime(2017, 9, 11, 7, 23, 41))):
+        step = minutes / 60
+        clock = synthesize_weather(2, step_hours=step, start=start).clock()
+        minute = (start.hour * 60 + start.minute + np.arange(len(clock)) * minutes) % 1440
+        watts = 48.0 * (minute >= 18 * 60) + 260.0 * ((minute >= 21 * 60) | (minute < 9 * 60))
+        profile = build_secondary_profile(cfg.loads, clock, step)
+        assert profile.tobytes() == (watts * step).tobytes()

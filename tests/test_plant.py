@@ -312,10 +312,9 @@ class TestMatchedModelTracking:
             decision = controller.decide(state, scenario, k)
             predicted_e = controller.last_plan.predicted_e_bat[0]
             predicted_t = controller.last_plan.predicted_t_fr[0]
-            exo = scenario.at(k)
             state, flows, fr, s = plant_step(
-                state, decision.command, exo.e_pv_wh, exo.t_house_c,
-                exo.e_secondary_wh, cfg,
+                state, decision.command, scenario.pv_avail_wh[k], scenario.t_house[k],
+                scenario.e_secondary[k], cfg,
                 requested=(decision.requested_u_fr, decision.requested_u_s))
             assert state.t_fr_c == pytest.approx(predicted_t, abs=1e-6)
             assert state.e_bat_wh == pytest.approx(predicted_e, abs=1e-6)

@@ -1,7 +1,5 @@
 """Secondary-load schedule parsing and energy-profile tests."""
 
-from datetime import datetime, timedelta
-
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,9 +20,13 @@ def paper_schedule():
 
 
 def grid_for_day(step_hours=STEP, days=1):
-    start = datetime(2017, 9, 11)
+    """Clock (seconds after midnight) of each step of `days` days from midnight."""
     n = int(round(days * 24 / step_hours))
-    return [start + timedelta(hours=k * step_hours) for k in range(n)]
+    return np.round(np.arange(n) * step_hours * 3600).astype(np.int64) % 86400
+
+
+def at(hour, minute=0, second=0):
+    return np.array([hour * 3600 + minute * 60 + second])
 
 
 class TestWindowParsing:
@@ -54,23 +56,32 @@ class TestSecondaryProfile:
     def test_both_loads_at_22h(self):
         # lights 6x8 W + fans 4x65 W for a sixth of an hour
         sched = paper_schedule()
-        e = build_secondary_profile(sched, [datetime(2017, 9, 11, 22, 0)], STEP)
+        e = build_secondary_profile(sched, at(22), STEP)
         assert e[0] == pytest.approx((6 * 8 + 4 * 65) / 6.0)
         assert e[0] == pytest.approx(51.33, abs=5e-3)
 
     def test_nothing_at_noon(self):
-        e = build_secondary_profile(paper_schedule(), [datetime(2017, 9, 11, 12, 0)], STEP)
+        e = build_secondary_profile(paper_schedule(), at(12), STEP)
         assert e[0] == 0.0
 
     def test_lights_only_at_19h(self):
-        e = build_secondary_profile(paper_schedule(), [datetime(2017, 9, 11, 19, 0)], STEP)
+        e = build_secondary_profile(paper_schedule(), at(19), STEP)
         assert e[0] == pytest.approx(8.0)
+        # the step's start minute decides, seconds included or not
+        e = build_secondary_profile(paper_schedule(), np.array([18 * 3600, 20 * 3600 + 59]), STEP)
+        assert e.tolist() == pytest.approx([8.0, 8.0])
 
     def test_window_edges_half_open(self):
         sched = paper_schedule()
-        assert sched.fans_on(datetime(2017, 9, 11, 21, 0))      # start inclusive
-        assert not sched.fans_on(datetime(2017, 9, 11, 9, 0))   # end exclusive
-        assert not sched.lights_on(datetime(2017, 9, 11, 0, 0))
+        minute = np.array([21 * 60, 21 * 60 - 1, 9 * 60, 9 * 60 - 1, 0, 24 * 60 - 1])
+        watts = [48.0 + 260.0,   # fans' start inclusive (lights on too)
+                 48.0,           # one minute before the fans
+                 0.0,            # fans' end exclusive
+                 260.0,
+                 260.0,          # lights' 24:00 end exclusive
+                 48.0 + 260.0]
+        assert sched.power_w(minute).tolist() == watts
+        assert sched.power_w(21 * 60) == 308.0   # a scalar minute gives a scalar
 
     def test_daily_periodicity(self):
         sched = paper_schedule()
@@ -80,18 +91,23 @@ class TestSecondaryProfile:
         assert np.array_equal(e[:per_day], e[per_day:2 * per_day])
         assert np.array_equal(e[:per_day], e[2 * per_day:])
 
-    @given(step_idx=st.integers(0, 143))
-    def test_periodicity_pointwise(self, step_idx):
-        sched = paper_schedule()
-        t0 = datetime(2017, 9, 11) + timedelta(hours=step_idx * STEP)
-        t1 = t0 + timedelta(days=1)
-        assert sched.power_at(t0) == sched.power_at(t1)
+    @given(step_idx=st.integers(0, 143), minutes=st.sampled_from([5, 10, 15, 30, 60]))
+    def test_periodicity_pointwise(self, step_idx, minutes):
+        e = build_secondary_profile(paper_schedule(), grid_for_day(minutes / 60, days=2), STEP)
+        per_day = 24 * 60 // minutes
+        k = step_idx % per_day
+        assert e[k] == e[k + per_day]
 
     def test_counts_and_powers_scale(self):
         sched = SecondaryLoadSchedule(light_windows=["00:00-24:00"], fan_windows=[],
                                       n_lights=3, p_light_w=10.0, n_fans=0, p_fan_w=0.0)
         e = build_secondary_profile(sched, grid_for_day(), STEP)
         assert np.allclose(e, 30.0 * STEP)
+
+    @pytest.mark.parametrize("step", [0.0, -STEP, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ConfigError, match="step_hours must be finite and > 0"):
+            build_secondary_profile(paper_schedule(), at(22), step)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ConfigError):

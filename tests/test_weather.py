@@ -160,16 +160,46 @@ class TestResampling:
                 0.001 * max(1.0, base.total_irradiance_wh_per_m2())
 
     def test_extend_by_last_day(self):
-        series = synthesize_weather(2, "clear", seed=0)
+        series = synthesize_weather(2, "cloudy", seed=0)
         longer = series.extended_by_last_day(len(series) + 144)
         assert len(longer) == len(series) + 144
         assert np.array_equal(longer.ghi[-144:], series.ghi[-144:])
+        # past one day the last day repeats again, cut at n_steps
+        longer = series.extended_by_last_day(len(series) + 200)
+        for got, src in ((longer.ghi, series.ghi), (longer.t_ambient, series.t_ambient),
+                         (longer.wind_speed, series.wind_speed)):
+            assert np.array_equal(got, np.concatenate([src, src[-144:], src[-144:-88]]))
+        # a series shorter than a day repeats whole
+        short = WeatherSeries(datetime(2017, 9, 11), STEP, np.array([1.0, 2.0, 3.0]),
+                              np.zeros(3), np.zeros(3))
+        assert short.extended_by_last_day(8).ghi.tolist() == [1, 2, 3, 1, 2, 3, 1, 2]
+        assert series.extended_by_last_day(len(series)) is series
 
     def test_require_coverage(self):
         series = synthesize_weather(1, "clear", seed=0)
         series.require_coverage(24.0)
         with pytest.raises(DataError, match="shorter than the requested"):
             series.require_coverage(25.0)
+
+
+class TestSeriesValidation:
+    @pytest.mark.parametrize("field, value, message", [
+        ("ghi", np.nan, "weather ghi is not finite at record 2"),
+        ("t_ambient", np.nan, "weather t_ambient is not finite at record 2"),
+        ("wind_speed", np.inf, "weather wind_speed is not finite at record 2"),
+        ("step_hours", 0.0, "step_hours must be finite and > 0, got 0.0"),
+        ("step_hours", np.nan, "step_hours must be finite and > 0, got nan"),
+        ("step_hours", -STEP, "step_hours must be finite and > 0, got -0.1666"),
+    ], ids=["ghi-nan", "t_ambient-nan", "wind-inf", "step-0", "step-nan", "step-negative"])
+    def test_non_finite_or_bad_step_rejected(self, field, value, message):
+        args = dict(start=datetime(2017, 9, 11), step_hours=STEP, ghi=np.full(4, 100.0),
+                    t_ambient=np.full(4, 25.0), wind_speed=np.full(4, 2.0))
+        if field == "step_hours":
+            args[field] = value
+        else:
+            args[field][2] = value
+        with pytest.raises(DataError, match=f"^{message}"):
+            WeatherSeries(**args)
 
 
 class TestSynthetic:
