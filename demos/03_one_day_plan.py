@@ -22,9 +22,8 @@ s = p.solver
 print(f"solver: {s.status}, objective {s.objective:.1f}, bound {s.best_bound:.1f}, "
       f"gap {s.rel_gap:.2%}, {s.nodes_explored} nodes, {s.wall_time * 1000:.0f} ms")
 print(f"{'t+min':>6} {'u_fr':>4} {'u_s':>3} {'gamma':>7} {'E_bat':>7} {'T_fr':>6} {'PV Wh':>6}")
-for i in range(0, len(p.commands), 3):
-    c = p.commands[i]
-    print(f"{10 * i:6d} {c.u_fr:4d} {c.u_s:3d} {c.gamma:7.3f} "
+for i in range(0, len(p.u_fr), 3):
+    print(f"{10 * i:6d} {p.u_fr[i]:4d} {p.u_s[i]:3d} {p.gamma[i]:7.3f} "
           f"{p.predicted_e_bat[i]:7.0f} {p.predicted_t_fr[i]:6.2f} "
           f"{forecast.g_avail_wh[i]:6.1f}")
 

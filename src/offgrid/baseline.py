@@ -113,7 +113,7 @@ class BaselineController:
             eta_inv=self.config.inverter_efficiency,
         )
         gamma = 1.0 if c else (-1.0 if d else 0.0)  # normal charging mode only
-        cmd = ControlCommand.from_gamma(u_fr=fr, u_s=s, gamma=gamma)
+        cmd = ControlCommand(u_fr=fr, u_s=s, gamma=gamma)
         return ControllerDecision(
             command=cmd,
             requested_u_fr=u_req,

@@ -163,13 +163,6 @@ class SystemConfig:
         if self.horizon_steps < 1:
             raise ConfigError("horizon must be >= 1")
 
-    @property
-    def steps_per_day(self) -> int:
-        n = 24.0 / self.step_hours
-        if abs(n - round(n)) > 1e-9:
-            raise ConfigError("step_hours must divide 24 h evenly")
-        return int(round(n))
-
     def replace(self, **changes) -> "SystemConfig":
         return dataclasses.replace(self, **changes)
 

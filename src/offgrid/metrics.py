@@ -114,5 +114,17 @@ def save_metrics(metrics: ResiliencyMetrics, path: str | Path, header: str = "")
 
 
 def load_metrics(path: str | Path) -> ResiliencyMetrics:
-    data = yaml.safe_load(Path(path).read_text())
-    return ResiliencyMetrics(**data)
+    """Re-read a file written by save_metrics; DataError names the file."""
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"metrics file not found: {path}")
+    try:
+        data = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise DataError(f"{path}: invalid YAML: {exc}") from exc
+    if not isinstance(data, dict):
+        raise DataError(f"{path}: top level must be a mapping")
+    try:
+        return ResiliencyMetrics(**data)
+    except (TypeError, DataError) as exc:  # unknown or missing fields, bad values
+        raise DataError(f"{path}: {exc}") from exc

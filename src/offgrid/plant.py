@@ -136,10 +136,6 @@ class SimulationTrace:
     def __iter__(self):
         return iter(self.records)
 
-    @property
-    def days(self) -> float:
-        return len(self.records) * self.step_hours / 24.0
-
     def to_csv(self, path: str | Path) -> None:
         path = Path(path)
         path.parent.mkdir(parents=True, exist_ok=True)

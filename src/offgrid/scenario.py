@@ -9,7 +9,7 @@ weather's clock (seconds after midnight of each step) and read by step index.
 plant and the baseline (by index) and the optimizing controller's forecasts
 (through `forecast`) all read the one `pv_avail_wh` series, so they see the
 same inputs by construction. The optimizing controller thus operates with
-perfect foresight unless a noise hook is installed at run time.
+perfect foresight.
 """
 
 from __future__ import annotations

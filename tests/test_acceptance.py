@@ -161,7 +161,8 @@ def test_criterion_3_gamma_mapping_table():
             assert x_bat == 1
         else:
             assert x_bat == 2
-        ControlCommand(u_fr=0, u_s=0, gamma=float(gamma), c=c, d=d, x_bat=x_bat)
+        cmd = ControlCommand(u_fr=0, u_s=0, gamma=float(gamma))
+        assert (cmd.c, cmd.d, cmd.x_bat) == (c, d, x_bat)
     _report("criterion 3 (gamma mapping table)", True,
             "1000-point sweep over [-1, 2] matches all case rows; "
             "command invariants hold throughout")

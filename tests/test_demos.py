@@ -1,7 +1,8 @@
 """Smoke test: the demos run to completion against the package in `src`.
 
-`04_storm_week.py` is left out: it runs a multi-minute closed-loop MPC
-comparison over a storm week, too slow for the fast suite.
+`04_storm_week.py` is left out: it runs a two-day post-storm closed-loop
+comparison of both controllers, about two minutes, too slow for the fast
+suite.
 """
 
 import os

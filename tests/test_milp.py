@@ -24,7 +24,7 @@ from offgrid.milp.simplex import (
     _Trouble,
     solve_lp_std,
 )
-from offgrid.mpc import _build, _greedy_seeds, build_mpc_milp
+from offgrid.mpc import _greedy_seeds, build_mpc_milp
 from offgrid.plant import PlantState
 from offgrid.scenario import build_scenario
 from offgrid.weather import synthesize_weather
@@ -163,9 +163,9 @@ def horizon_model(profile, n, soc):
 def seeded_horizon(profile, n, soc, k=0):
     """The controller's horizon MILP at step k, with the greedy seeds the
     controller passes the solver."""
-    window = horizon_window(profile, n, soc, k)
-    std, ix = _build(*window)
-    return std, _greedy_seeds(*window, ix)
+    e_bat0, t_fr0, forecast, cfg = window = horizon_window(profile, n, soc, k)
+    std = build_mpc_milp(PlantState(e_bat_wh=e_bat0, t_fr_c=t_fr0), forecast, cfg)
+    return std, _greedy_seeds(*window)
 
 
 def milp_oracle(std):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,13 +14,13 @@ from hypothesis import strategies as st
 from offgrid.config import default_config
 from offgrid.devices import fridge_discretize, fridge_energy
 from offgrid.errors import DataError, InfeasiblePlanError
-from offgrid.milp import MilpModel, SolverOptions, check_solution, solve_lp, solve_milp, to_lp_text
+from offgrid.milp import (MilpModel, MilpSolution, SolverOptions, check_solution, solve_lp,
+                          solve_milp, to_lp_text)
 from offgrid.milp.simplex import _BoundedSimplex, solve_lp_std
 import offgrid.mpc
 from offgrid.mpc import (
     ControlCommand,
     MpcController,
-    _build,
     _fallback_command,
     _greedy_rollout,
     _greedy_seeds,
@@ -46,6 +47,16 @@ def small_config(n):
     return default_config().replace(horizon_steps=n)
 
 
+def horizon_form(e_bat0, t_fr0, fc, cfg):
+    return build_mpc_milp(PlantState(e_bat_wh=e_bat0, t_fr_c=t_fr0), fc, cfg)
+
+
+def with_noise(scenario, noise):
+    """The scenario as the controller reads it, with each forecast window
+    passed through `noise(window, k)`."""
+    return SimpleNamespace(forecast=lambda k, n: noise(scenario.forecast(k, n), k))
+
+
 class TestGammaToDiscrete:
     @pytest.mark.parametrize("gamma,expected", [
         (0.5, (1, 0, 1)),
@@ -60,10 +71,9 @@ class TestGammaToDiscrete:
         assert gamma_to_discrete(gamma) == expected
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            gamma_to_discrete(2.5)
-        with pytest.raises(ValueError):
-            gamma_to_discrete(-1.1)
+        for gamma in (2.5, -1.1, math.nan):
+            with pytest.raises(ValueError):
+                gamma_to_discrete(gamma)
 
     @given(st.floats(-1.0, 2.0))
     @settings(max_examples=300)
@@ -78,14 +88,9 @@ class TestGammaToDiscrete:
             assert x_bat == 1
         else:
             assert x_bat == 2
-        # the command type accepts every mapped triple
-        ControlCommand(u_fr=0, u_s=0, gamma=gamma, c=c, d=d, x_bat=x_bat)
-
-    def test_command_rejects_inconsistent_flags(self):
-        with pytest.raises(ValueError):
-            ControlCommand(u_fr=0, u_s=0, gamma=0.5, c=1, d=0, x_bat=2)
-        with pytest.raises(ValueError):
-            ControlCommand(u_fr=0, u_s=0, gamma=-0.5, c=1, d=1, x_bat=0)
+        # the command derives the same triple from its gamma
+        cmd = ControlCommand(u_fr=0, u_s=0, gamma=gamma)
+        assert (cmd.c, cmd.d, cmd.x_bat) == (c, d, x_bat)
 
 
 class TestModelShape:
@@ -127,7 +132,7 @@ class TestModelShape:
         state = PlantState(e_bat_wh=cfg.battery.e_min_wh, t_fr_c=2.0)
         p = plan(state, forecast(6, g=0.0), cfg, EXACT)
         assert np.all(np.diff(np.concatenate([[state.e_bat_wh], p.predicted_e_bat])) <= 1e-9)
-        assert all(cmd.gamma <= 1e-12 for cmd in p.commands)
+        assert len(p.gamma) == 6 and np.all(p.gamma <= 1e-12)
 
 
 class TestPlanExtraction:
@@ -136,7 +141,7 @@ class TestPlanExtraction:
         state = PlantState(e_bat_wh=2000.0, t_fr_c=3.0)
         p = plan(state, forecast(12, g=140.0, e_s=0.0), cfg, EXACT)
         assert p.solver.status == "Optimal"
-        assert all(cmd.u_s == 0 for cmd in p.commands)
+        assert len(p.u_s) == 12 and np.all(p.u_s == 0)
         assert np.all(p.predicted_t_fr >= cfg.fridge.t_min_c - 1e-9)
         # Early in the horizon the stored-energy reward dominates the linear
         # charge-fraction penalty, so the battery charges monotonically there.
@@ -156,9 +161,10 @@ class TestPlanExtraction:
         p = plan(state, fc, cfg, EXACT)
         t = state.t_fr_c
         e = state.e_bat_wh
-        for i, cmd in enumerate(p.commands):
-            t = disc.a * t + disc.b * cmd.u_fr * disc.q_fr_w + disc.d * 25.0
-            e = e + cfg.mpc.eta_controller * cfg.battery.e_charge_max_wh * cmd.gamma
+        assert len(p.u_fr) == len(p.gamma) == 10
+        for i, (u_fr, gamma) in enumerate(zip(p.u_fr, p.gamma)):
+            t = disc.a * t + disc.b * u_fr * disc.q_fr_w + disc.d * 25.0
+            e = e + cfg.mpc.eta_controller * cfg.battery.e_charge_max_wh * gamma
             assert t == pytest.approx(p.predicted_t_fr[i], abs=1e-6)
             assert e == pytest.approx(p.predicted_e_bat[i], abs=1e-6)
         assert np.all(p.slack >= -1e-9)
@@ -185,7 +191,7 @@ class TestPlanExtraction:
         assert sorted(tmp_path.iterdir()) == sorted(dumps) and dumps[0] != dumps[1]
         thermal = []
         for t_fr0, dump in zip((-10.0, -12.0), dumps):
-            std, _ix = _build(3000.0, t_fr0, fc, cfg)
+            std = horizon_form(3000.0, t_fr0, fc, cfg)
             text = dump.read_text()
             assert text == to_lp_text(std)
             thermal.append(next(line for line in text.splitlines() if "thermal[0]:" in line))
@@ -202,9 +208,9 @@ class TestPlanExtraction:
             e_s[2] = np.nan
             return ForecastWindow(fc.g_avail_wh, fc.t_house_c, e_s)
 
-        ctl = MpcController(cfg, EXACT, forecast_noise=noise)
+        ctl = MpcController(cfg, EXACT)
         with pytest.raises(DataError, match="forecast e_secondary_wh is not finite at step 2"):
-            ctl.decide(PlantState(e_bat_wh=3000.0, t_fr_c=2.0), scenario, 0)
+            ctl.decide(PlantState(e_bat_wh=3000.0, t_fr_c=2.0), with_noise(scenario, noise), 0)
 
     def test_fallback_command_rule(self):
         cfg = small_config(4)
@@ -216,6 +222,29 @@ class TestPlanExtraction:
         cold = PlantState(e_bat_wh=3000.0, t_fr_c=2.0)
         cmd = _fallback_command(cold, forecast(4, g=0.0), cfg)
         assert cmd.u_fr == 0 and cmd.gamma == 0.0
+
+    def test_no_incumbent_falls_back_to_the_dead_band_command(self, monkeypatch):
+        cfg = small_config(4)
+        scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=1 / 24)
+        hot = PlantState(e_bat_wh=3000.0, t_fr_c=5.0)
+        fc = scenario.forecast(0, 4)
+
+        def stalled(std, options, initial_solution=None, root_start=None):
+            return MilpSolution(status="TimeLimit", values=None, objective=math.inf,
+                                best_bound=-math.inf, rel_gap=math.inf, nodes_explored=30,
+                                wall_time=0.0, simplex_iterations=0)
+
+        monkeypatch.setattr(offgrid.mpc, "solve_milp", stalled)
+        p = plan(hot, fc, cfg, EXACT)
+        assert p.fallback_used
+        assert p.first == _fallback_command(hot, fc, cfg)
+        for predicted in (p.predicted_e_bat, p.predicted_t_fr, p.slack):
+            assert len(predicted) == 4 and np.isnan(predicted).all()
+        decision = MpcController(cfg, EXACT).decide(hot, scenario, 0)
+        assert decision.fallback and decision.command == _fallback_command(hot, fc, cfg)
+        trace = run_closed_loop(MpcController(cfg, EXACT), scenario, cfg)
+        assert len(trace) == 6
+        assert all(r.fallback == 1 and r.solver_status == "TimeLimit" for r in trace.records)
 
 
 def enumeration_objective(std):
@@ -269,7 +298,7 @@ class TestAgainstEnumeration:
 
 def build_horizon_reference(e_bat0, t_fr0, forecast, config):
     """Reference horizon build, one variable and one row dict at a time
-    through `MilpModel`: the layout `_build` must reproduce array for array."""
+    through `MilpModel`: the layout `build_mpc_milp` must reproduce array for array."""
     n = len(forecast)
     p = config.mpc
     bat = config.battery
@@ -337,7 +366,7 @@ def horizon_windows():
                 yield e_bat0, t_fr0, scenario.forecast(k, n), cfg.replace(horizon_steps=n)
 
 
-def raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix):
+def raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg):
     """_greedy_seeds' result, and every rollout it built before dropping
     copies: the rationed rollout (the last of its repair loop), then each
     rung of the serve-first-K ladder, which passes fridge_priority."""
@@ -351,11 +380,11 @@ def raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix):
 
     with monkeypatch.context() as patch:
         patch.setattr(offgrid.mpc, "_greedy_rollout", record)
-        seeds = _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)
+        seeds = _greedy_seeds(e_bat0, t_fr0, fc, cfg)
     return seeds, rationed[-1:] + ladder
 
 
-def full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix):
+def full_ladder_seeds(e_bat0, t_fr0, fc, cfg):
     """The seed ladder with a fans-first rollout on every serve-first-K rung,
     not only the serve-everything one: the reference for the trimmed ladder."""
     n = len(fc)
@@ -363,7 +392,7 @@ def full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix):
     serve = fc.e_secondary_wh > 0
     rationed = None
     for _ in range(n + 1):
-        out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, serve)
+        out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, serve)
         if out is None:
             break
         rationed, fail = out
@@ -382,7 +411,7 @@ def full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix):
         plan_k = np.zeros(n, dtype=bool)
         plan_k[scheduled[:k]] = True
         for priority in (True, False):
-            out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, plan_k, fridge_priority=priority)
+            out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, plan_k, fridge_priority=priority)
             if out is not None:
                 seeds.append(out[0])
     distinct = {}
@@ -410,9 +439,10 @@ class TestHorizonBuild:
         assert len(windows) == 24
         scheduled = empty = 0
         for e_bat0, t_fr0, fc, cfg in windows:
-            mine, ix = _build(e_bat0, t_fr0, fc, cfg)
+            mine = horizon_form(e_bat0, t_fr0, fc, cfg)
             assert_forms_byte_equal(mine, build_horizon_reference(e_bat0, t_fr0, fc, cfg).standard_form())
-            assert [mine.names[j] for j in ix.u_s] == [f"u_s[{i}]" for i in range(len(fc))]
+            n = len(fc)
+            assert mine.names[n:2 * n] == [f"u_s[{i}]" for i in range(n)]
             scheduled += int(np.sum(fc.e_secondary_wh > 0))
             empty += int(np.sum(fc.e_secondary_wh == 0))
         assert scheduled and empty  # both kinds of u_s column are covered
@@ -421,7 +451,7 @@ class TestHorizonBuild:
         # -lambda4*w and -lambda2/e_max are -0.0 here; the reference drops them.
         e_bat0, t_fr0, fc, cfg = list(horizon_windows())[6]
         cfg = cfg.replace(mpc=dataclasses.replace(cfg.mpc, lambda2=0.0, lambda3=0.0, lambda4=0.0))
-        mine, _ = _build(e_bat0, t_fr0, fc, cfg)
+        mine = horizon_form(e_bat0, t_fr0, fc, cfg)
         assert_forms_byte_equal(mine, build_horizon_reference(e_bat0, t_fr0, fc, cfg).standard_form())
         assert not np.signbit(mine.c).any()
 
@@ -432,11 +462,10 @@ class TestHorizonBuild:
         for e_bat0, t_fr0, fc, cfg in horizon_windows():
             if len(fc) > 36:
                 continue
-            _std, ix = _build(e_bat0, t_fr0, fc, cfg)
-            seeds = {seed.tobytes() for seed in _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)}
+            seeds = {seed.tobytes() for seed in _greedy_seeds(e_bat0, t_fr0, fc, cfg)}
             all_on = np.ones(len(fc), dtype=bool)
             for priority in (True, False):
-                out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, ix, all_on, fridge_priority=priority)
+                out = _greedy_rollout(e_bat0, t_fr0, fc, cfg, all_on, fridge_priority=priority)
                 if out is not None:
                     assert out[0].tobytes() in seeds
                     checked += 1
@@ -445,8 +474,8 @@ class TestHorizonBuild:
     def test_seeds_are_the_distinct_rollouts_first_copy_kept(self, monkeypatch):
         solved = 0
         for e_bat0, t_fr0, fc, cfg in horizon_windows():
-            std, ix = _build(e_bat0, t_fr0, fc, cfg)
-            seeds, raw = raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg, ix)
+            std = horizon_form(e_bat0, t_fr0, fc, cfg)
+            seeds, raw = raw_greedy_seeds(monkeypatch, e_bat0, t_fr0, fc, cfg)
             keys = [seed.tobytes() for seed in seeds]
             assert len(set(keys)) == len(keys)
             assert keys == list(dict.fromkeys(seed.tobytes() for seed in raw))
@@ -464,11 +493,11 @@ class TestHorizonBuild:
         for e_bat0, t_fr0, fc, cfg in horizon_windows():
             if len(fc) > 36:
                 continue
-            std, ix = _build(e_bat0, t_fr0, fc, cfg)
+            std = horizon_form(e_bat0, t_fr0, fc, cfg)
             trimmed = solve_milp(std, NODE_BUDGET,
-                                 initial_solution=_greedy_seeds(e_bat0, t_fr0, fc, cfg, ix))
+                                 initial_solution=_greedy_seeds(e_bat0, t_fr0, fc, cfg))
             full = solve_milp(std, NODE_BUDGET,
-                              initial_solution=full_ladder_seeds(e_bat0, t_fr0, fc, cfg, ix))
+                              initial_solution=full_ladder_seeds(e_bat0, t_fr0, fc, cfg))
             assert trimmed.values.tobytes() == full.values.tobytes()
             assert (trimmed.objective, trimmed.best_bound, trimmed.nodes_explored) == \
                 (full.objective, full.best_bound, full.nodes_explored)
@@ -477,17 +506,16 @@ class TestHorizonBuild:
 
     def test_one_fans_first_rollout_per_window(self, monkeypatch):
         for e_bat0, t_fr0, fc, cfg in horizon_windows():
-            _std, ix = _build(e_bat0, t_fr0, fc, cfg)
             fans_first = []
 
             def record(*args, **kwargs):
                 if kwargs.get("fridge_priority") is False:
-                    fans_first.append(args[5].copy())
+                    fans_first.append(args[4].copy())
                 return _greedy_rollout(*args, **kwargs)
 
             with monkeypatch.context() as patch:
                 patch.setattr(offgrid.mpc, "_greedy_rollout", record)
-                _greedy_seeds(e_bat0, t_fr0, fc, cfg, ix)
+                _greedy_seeds(e_bat0, t_fr0, fc, cfg)
             assert len(fans_first) == 1
             assert np.array_equal(fans_first[0], fc.e_secondary_wh > 0)
 

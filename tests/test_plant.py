@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from offgrid.config import default_config
 from offgrid.devices import fridge_energy, pv_potential
 from offgrid.errors import DataError
-from offgrid.metrics import compute_metrics
+from offgrid.metrics import ResiliencyMetrics, compute_metrics, load_metrics, save_metrics
 from offgrid.mpc import ControlCommand
 from offgrid.plant import (
     PlantState,
@@ -33,7 +33,7 @@ def pv_wh(ghi=0.0, t_ambient=30.0, wind=2.0, config=CFG):
 
 
 def cmd_gamma(u_fr=0, u_s=0, gamma=0.0):
-    return ControlCommand.from_gamma(u_fr=u_fr, u_s=u_s, gamma=gamma)
+    return ControlCommand(u_fr=u_fr, u_s=u_s, gamma=gamma)
 
 
 def assert_flow_identities(flows):
@@ -231,6 +231,24 @@ class TestClosedLoop:
         assert m.primary_unserved_hours_per_day == 0.0
 
 
+class TestLoadMetrics:
+    @pytest.mark.parametrize("text", [
+        None,                             # no file
+        lambda good: "- 1\n- 2\n",        # top level is a list
+        lambda good: good + "extra: 1\n",  # unknown field
+        lambda good: "days: [1\n",        # not YAML
+    ], ids=["missing", "list", "unknown-key", "invalid-yaml"])
+    def test_bad_file_raises_data_error_naming_it(self, tmp_path, text):
+        good = tmp_path / "good.txt"
+        save_metrics(ResiliencyMetrics(1.0, 0.5, 10.0, 0.0), good, header="run")
+        assert load_metrics(good) == ResiliencyMetrics(1.0, 0.5, 10.0, 0.0)
+        path = tmp_path / "bad.txt"
+        if text is not None:
+            path.write_text(text(good.read_text()))
+        with pytest.raises(DataError, match=r"bad\.txt"):
+            load_metrics(path)
+
+
 class TestTraceCsvErrors:
     """A malformed trace row raises DataError naming the file and the line
     (the header is line 1, so the six records are lines 2-7)."""
@@ -270,13 +288,11 @@ class TestTraceCsvErrors:
 
 class TestForecastNoiseHook:
     def test_noise_hook_changes_decisions(self):
-        """A hook that blacks out the forecast makes the controller plan for
-        darkness; the default (no hook) is perfect foresight."""
-        import numpy as np
-
-        from offgrid.milp import SolverOptions
+        """A scenario whose forecasts are blacked out makes the controller
+        plan for darkness; the scenario itself is perfect foresight."""
         from offgrid.mpc import MpcController
         from offgrid.scenario import ForecastWindow
+        from tests.test_mpc import with_noise
 
         cfg = default_config().replace(horizon_steps=8)
         scenario = build_scenario(synthesize_weather(1, "clear", seed=0), cfg, days=0.5)
@@ -287,7 +303,7 @@ class TestForecastNoiseHook:
         k_noon = 72
         state = PlantState(e_bat_wh=2000.0, t_fr_c=2.0)
         plain = MpcController(cfg).decide(state, scenario, k_noon)
-        dark = MpcController(cfg, forecast_noise=blackout).decide(state, scenario, k_noon)
+        dark = MpcController(cfg).decide(state, with_noise(scenario, blackout), k_noon)
         assert plain.command.gamma > 0      # charges with the real sun
         assert dark.command.gamma <= 0.0    # believes there is nothing to charge with
 

@@ -104,8 +104,8 @@ class TestBuildScenario:
                                 float(wx.wind_speed[k]), CFG.step_hours)
         assert scenario.pv_avail_wh[k] == pytest.approx(expected)
 
-    def test_forecast_noise_hook_defaults_off(self):
-        """The controller reads exactly the plant's series unless a hook is set."""
+    def test_forecast_reads_the_plant_series(self):
+        """The controller's forecast is exactly the plant's series."""
         weather = synthesize_weather(1, "clear", seed=0)
         scenario = build_scenario(weather, CFG, days=1)
         fc = scenario.forecast(10, 6)
