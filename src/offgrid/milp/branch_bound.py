@@ -9,9 +9,12 @@ is a round-and-fix LP solved, once, at the root, with every binary fixed at
 its rounded root value. The root LP starts cold, or from a given basis of the
 same form (the MPC controller passes the previous step's root basis, shifted
 one step), and its optimal basis is returned for the next step. Each heap
-entry keeps its LP's optimal basis: both children of a node, and the root's
-round-fix LP, differ from it only in bounds, so they reoptimize from it with
-the dual simplex instead of starting cold. Terminal status:
+entry keeps its LP's optimal basis with the factor the LP ended with: both
+children of a node, and the root's round-fix LP, differ from it only in
+bounds, so they reoptimize from it with the dual simplex, neither starting
+cold nor factorizing the basis again. Only binaries are ever fixed, so an
+entry keeps just its binaries' LP values and bounds; a child's bounds are
+the form's with the binaries' put back. Terminal status:
 
   Optimal   - the tree is exhausted (or the bound meets the incumbent).
   GapLimit  - the relative gap reached rel_gap_limit with open nodes left.
@@ -167,11 +170,12 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
             try_incumbent(res.x, res.objective)
 
     seq = 0
-    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, Basis]] = []
-    heapq.heappush(heap, (root.objective, seq, root.x, std.lb.copy(), std.ub.copy(), root.basis))
+    # (bound, seq, the binaries' LP values, lower and upper bounds, basis)
+    heap: list[tuple[float, int, np.ndarray, np.ndarray, np.ndarray, Basis]] = [
+        (root.objective, seq, root.x[bin_idx], std.lb[bin_idx], std.ub[bin_idx], root.basis)]
 
     while heap:
-        bound, _n, x_lp, lb, ub, basis = heapq.heappop(heap)
+        bound, _n, x_bin, lb_bin, ub_bin, basis = heapq.heappop(heap)
 
         if incumbent_x is not None:
             if bound >= incumbent_obj - 1e-9:
@@ -183,15 +187,17 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
         if options.node_limit is not None and nodes >= options.node_limit:
             return done("TimeLimit", bound, "node budget exhausted")
 
-        fracs = np.abs(x_lp[bin_idx] - np.round(x_lp[bin_idx]))
-        j = int(bin_idx[int(np.argmax(np.minimum(fracs, 1.0 - fracs)))])
+        fracs = np.abs(x_bin - np.round(x_bin))
+        j = int(np.argmax(np.minimum(fracs, 1.0 - fracs)))
 
         for fix in (0.0, 1.0):
-            if fix < lb[j] or fix > ub[j]:
+            if fix < lb_bin[j] or fix > ub_bin[j]:
                 continue
-            lo, hi = lb.copy(), ub.copy()
-            lo[j] = fix
-            hi[j] = fix
+            lo_bin, hi_bin = lb_bin.copy(), ub_bin.copy()
+            lo_bin[j] = hi_bin[j] = fix
+            lo, hi = std.lb.copy(), std.ub.copy()
+            lo[bin_idx] = lo_bin
+            hi[bin_idx] = hi_bin
             res = solve_lp_std(std, lo, hi, start=basis)
             nodes += 1
             total_iters += res.iterations
@@ -206,7 +212,7 @@ def solve_milp(model: MilpModel | StandardForm, options: SolverOptions | None = 
                 try_incumbent(res.x, child_bound)
             else:
                 seq += 1
-                heapq.heappush(heap, (child_bound, seq, res.x, lo, hi, res.basis))
+                heapq.heappush(heap, (child_bound, seq, res.x[bin_idx], lo_bin, hi_bin, res.basis))
 
     if incumbent_x is not None:
         return done("Optimal", incumbent_obj)

@@ -4,8 +4,13 @@ Rows are turned into equalities with one slack each (bounds encode the
 relation), so variable bounds never become explicit rows. The LP is solved
 over the form's cached sparse [A | I], whose last m columns are the slacks;
 the basis matrix is a column slice of it. The basis inverse is a sparse LU
-factorization (SuperLU) plus a product-form eta file, refreshed every few
-dozen pivots. A form without rows takes the same path, with an empty basis.
+factorization (SuperLU) plus an eta file, refactorized every few dozen
+pivots. The eta file is three arrays, one row per pivot: the pivot rows R,
+the eta vectors less their unit column, V (row i is w_i - e_{r_i}), and the
+lower-triangular L with L[i, j] = V[j, r_i] below the diagonal and
+L[i, i] = w_i[r_i]. Applying the k product-form etas in turn is then one
+triangular solve with L and one product with V, each way. A form without
+rows takes the same path, with an empty basis.
 
 Every LP takes one path: a bounded dual simplex drives the basic variables
 into their bounds, then the primal simplex cleans up any dual infeasibility
@@ -14,7 +19,10 @@ identity, with each structural at the bound its cost favours. An LP may
 instead start from a given basis of the same form, with the nonbasic
 variables at their bounds: the optimal basis of an LP that differs only in
 its variable bounds (a branch-and-bound child, a round-and-fix LP), or the
-previous MPC step's root basis shifted one step. The dual simplex starts
+previous MPC step's root basis shifted one step. An optimal basis carries
+its factor, so an LP starting from it reuses the factor and the eta file as
+they stood at that optimum instead of factorizing the basis again; a basis
+without one is factorized. The dual simplex starts
 from the start's reduced costs, with one rule for every start: each nonbasic
 reduced cost of the wrong sign for its status is taken as 0. A cold start
 zeroes only the costs whose sign no finite bound fits, and an optimal basis
@@ -34,6 +42,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtrsv
 from scipy.sparse.linalg import splu
 
 from .model import MilpModel, StandardForm, as_standard_form
@@ -53,18 +62,36 @@ class _Trouble(Exception):
 
 
 @dataclass(frozen=True)
+class _Factor:
+    """The inverse of a basis as an LP left it: the LU factorization of the
+    basis it last factorized (SuperLU, or `_IdentityFactor`), and the eta
+    file of the pivots since, as the arrays R, V and L the module docstring
+    describes. The LU object is only ever solved with, so LPs that start
+    from the same basis share it; each copies the eta arrays."""
+
+    lu: object
+    eta_r: np.ndarray
+    eta_v: np.ndarray
+    eta_l: np.ndarray
+
+
+@dataclass(frozen=True)
 class Basis:
-    """A final simplex basis: the basic column of each row, and the status
-    (AT_LB, AT_UB, FREE or BASIC) of every column of [A | I]."""
+    """A simplex basis: the basic column of each row, the status (AT_LB,
+    AT_UB, FREE or BASIC) of every column of [A | I], and, when an LP
+    returned it, the basis inverse that LP ended with (None for a basis
+    built by hand, which is factorized when an LP starts from it)."""
 
     rows: np.ndarray
     status: np.ndarray
+    factor: _Factor | None = None
 
 
 @dataclass
 class LpResult:
     """Outcome of one LP solve over the structural variables; `basis` is the
-    optimal basis, from which an LP on the same form may start."""
+    optimal basis with its factor, from which an LP on the same form may
+    start without factorizing it again."""
 
     status: str
     x: np.ndarray | None
@@ -149,7 +176,10 @@ class _BoundedSimplex:
             raise self._trouble("crossed variable bounds")
 
         self.lu = _IdentityFactor()
-        self.etas: list[tuple[int, np.ndarray]] = []
+        self.k = 0  # pivots in the eta file
+        self.eta_r = np.zeros(refactor_every, dtype=np.int64)
+        self.eta_v = np.empty((refactor_every, self.m))
+        self.eta_l = np.zeros((refactor_every, refactor_every))
         if start is None:
             self._slack_basis()
         else:
@@ -168,13 +198,24 @@ class _BoundedSimplex:
 
     def _load_basis(self, start: Basis) -> None:
         """Start from a given basis: nonbasic variables at their (new) bounds,
-        basic values from a fresh factorization."""
+        basic values solved with the start's factor, which the LP shares
+        (the LU) or copies (the eta file), or, for a start without one, with
+        a fresh factorization."""
         self.basis = start.rows.copy()
         self.status = start.status.copy()
         self.x = np.select([self.status == AT_LB, self.status == AT_UB], [self.lb, self.ub], 0.0)
         if not np.all(np.isfinite(self.x)):
             raise self._trouble("start basis puts a variable at an infinite bound")
-        self._refactor()
+        factor = start.factor
+        if factor is None:
+            self._refactor()
+            return
+        self.lu = factor.lu
+        k = self.k = len(factor.eta_r)
+        self.eta_r[:k] = factor.eta_r
+        self.eta_v[:k] = factor.eta_v
+        self.eta_l[:k, :k] = factor.eta_l
+        self._solve_basic_values()
 
     def _dual_costs(self) -> np.ndarray:
         """The reduced costs d = c - [A | I]^T y the dual simplex starts from,
@@ -203,41 +244,56 @@ class _BoundedSimplex:
         return col
 
     def _refactor(self) -> None:
-        cols = self.A[:, self.basis]
         try:
-            self.lu = splu(cols)
+            self.lu = splu(self.A[:, self.basis])
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise self._trouble(f"singular basis ({exc})") from None
         diag = np.abs(self.lu.U.diagonal())
         if diag.size and diag.min() < 1e-12 * max(1.0, diag.max()):
             raise self._trouble("singular basis")
-        self.etas = []
-        nonbasic_part = self.A @ self.x - cols @ self.x[self.basis]
-        xb = self.lu.solve(self.b - nonbasic_part)
+        self.k = 0
+        self._solve_basic_values()
+
+    def _solve_basic_values(self) -> None:
+        """x_B = B^-1 (b - A_N x_N), with the nonbasic values in place."""
+        self.x[self.basis] = 0.0
+        xb = self._ftran(self.b - self.A @ self.x)
         if not np.all(np.isfinite(xb)):
             raise self._trouble("non-finite basic values")
         self.x[self.basis] = xb
 
     def _ftran(self, v: np.ndarray) -> np.ndarray:
+        """B^-1 v: the LU solve, then the k etas in pivot order, whose
+        multipliers alpha solve L alpha = z[R]."""
         z = self.lu.solve(v)
-        for r, w in self.etas:
-            zr = z[r] / w[r]
-            z = z - w * zr
-            z[r] = zr
+        k = self.k
+        if k:
+            alpha = dtrsv(self.eta_l[:k, :k], z[self.eta_r[:k]], lower=1)
+            z -= alpha @ self.eta_v[:k]
         return z
 
     def _btran(self, cb: np.ndarray) -> np.ndarray:
-        z = cb.astype(float, copy=True)
-        for r, w in reversed(self.etas):
-            s = w @ z - w[r] * z[r]
-            z[r] = (z[r] - s) / w[r]
-        return self.lu.solve(z, trans="T")
+        """B^-T cb: the k etas in reverse pivot order, whose corrections beta
+        solve L^T beta = V cb and fall on the pivot rows (a row pivoted
+        twice takes both), then the LU solve."""
+        y = cb.astype(float, copy=True)
+        k = self.k
+        if k:
+            beta = dtrsv(self.eta_l[:k, :k], self.eta_v[:k] @ y, lower=1, trans=1)
+            np.subtract.at(y, self.eta_r[:k], beta)
+        return self.lu.solve(y, trans="T")
 
     def _push_eta(self, r: int, w: np.ndarray) -> None:
         if abs(w[r]) < 1e-11:
             raise self._trouble("pivot element below threshold")
-        self.etas.append((r, w.copy()))
-        if len(self.etas) >= self.refactor_every:
+        k = self.k
+        self.eta_r[k] = r
+        self.eta_v[k] = w
+        self.eta_v[k, r] -= 1.0
+        self.eta_l[k, :k] = self.eta_v[:k, r]
+        self.eta_l[k, k] = w[r]
+        self.k = k + 1
+        if self.k >= self.refactor_every:
             self._refactor()
 
     def _trouble(self, message: str) -> _Trouble:
@@ -368,8 +424,11 @@ class _BoundedSimplex:
                             "objective unbounded below")
         self._verify()
         x_struct = self.x[: self.n].copy()
+        k = self.k
+        factor = _Factor(self.lu, self.eta_r[:k].copy(), self.eta_v[:k].copy(),
+                         self.eta_l[:k, :k].copy())
         return LpResult(OPTIMAL, x_struct, float(self.std.c @ x_struct), self.iterations,
-                        basis=Basis(self.basis.copy(), self.status.copy()))
+                        basis=Basis(self.basis.copy(), self.status.copy(), factor))
 
     def _verify(self) -> None:
         resid = self.A @ self.x - self.b

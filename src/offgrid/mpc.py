@@ -456,11 +456,9 @@ class MpcController:
     """Receding-horizon controller: one plan per plant step, first command
     applied; each plan's root LP starts from the last plan's root basis."""
 
-    def __init__(self, config: SystemConfig, options: SolverOptions | None = None,
-                 dump_dir: str | Path | None = None):
+    def __init__(self, config: SystemConfig, options: SolverOptions | None = None):
         self.config = config
         self.options = options or SolverOptions()
-        self.dump_dir = dump_dir
         self.last_plan: MpcPlan | None = None
 
     def decide(self, state: "PlantState", scenario, k: int):
@@ -468,8 +466,7 @@ class MpcController:
 
         forecast = scenario.forecast(k, self.config.horizon_steps)
         previous_root = self.last_plan.solver.root_basis if self.last_plan is not None else None
-        p = plan(state, forecast, self.config, self.options, dump_dir=self.dump_dir,
-                 previous_root=previous_root)
+        p = plan(state, forecast, self.config, self.options, previous_root=previous_root)
         self.last_plan = p
         cmd = p.first
         return ControllerDecision(

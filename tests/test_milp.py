@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 from scipy.sparse import csc_matrix
+from scipy.sparse.linalg import splu
 
 from offgrid.config import default_config
 from offgrid.errors import MilpError
 from offgrid.milp import EQ, GE, LE, MilpModel, SolverOptions, check_solution, solve_lp, solve_milp
 from offgrid.milp.model import Violation, as_standard_form
 import offgrid.milp.branch_bound
+import offgrid.milp.simplex
 from offgrid.milp.simplex import (
     AT_LB,
     AT_UB,
@@ -221,6 +223,27 @@ def basis_gather_reference(std, basis):
     vals = np.ones(ptr[-1])
     vals[in_struct] = a.data[src]
     return csc_matrix((vals, rows, ptr), shape=(m, m))
+
+
+def ftran_loop(lu, etas, v):
+    """Reference B^-1 v over a product-form eta file, a list of (r, w) with
+    w the pivot's entering column: the LU solve, then one eta at a time."""
+    z = lu.solve(v)
+    for r, w in etas:
+        zr = z[r] / w[r]
+        z = z - w * zr
+        z[r] = zr
+    return z
+
+
+def btran_loop(lu, etas, cb):
+    """Reference B^-T cb over a product-form eta file: one eta at a time in
+    reverse order, then the LU solve."""
+    z = cb.astype(float, copy=True)
+    for r, w in reversed(etas):
+        s = w @ z - w[r] * z[r]
+        z[r] = (z[r] - s) / w[r]
+    return lu.solve(z, trans="T")
 
 
 def row_free_reference(std):
@@ -487,6 +510,45 @@ class TestSolverOptions:
             SolverOptions(**{field: math.inf})
 
 
+class TestEtaFile:
+    """ftran and btran through the eta arrays equal the product-form loops,
+    applied one eta at a time, over the same pivots."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: horizon_model("post-storm", 36, 0.5),
+        lambda: horizon_model("clear", 144, 1.0),
+        *[lambda seed=seed: random_model(np.random.default_rng(seed), 0, 120, 90)
+          for seed in range(3)],
+    ])
+    def test_ftran_and_btran_match_product_form_loops(self, monkeypatch, make):
+        std = as_standard_form(make())
+        rng = np.random.default_rng(0)
+        etas = []
+        seen = {"max_k": 0, "repeated_row": False}
+        push = _BoundedSimplex._push_eta
+
+        def checked_push(engine, r, w):
+            etas.append((r, w.copy()))
+            push(engine, r, w)
+            if engine.k == 0:  # refactorized
+                etas.clear()
+                return
+            assert engine.k == len(etas)
+            assert list(engine.eta_r[:engine.k]) == [r for r, _w in etas]
+            seen["max_k"] = max(seen["max_k"], engine.k)
+            seen["repeated_row"] |= len({r for r, _w in etas}) < len(etas)
+            for _ in range(2):
+                v = rng.normal(size=engine.m)
+                for got, ref in ((engine._ftran(v), ftran_loop(engine.lu, etas, v)),
+                                 (engine._btran(v), btran_loop(engine.lu, etas, v))):
+                    assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+        monkeypatch.setattr(_BoundedSimplex, "_push_eta", checked_push)
+        assert _BoundedSimplex(std, std.lb, std.ub).solve().status == "optimal"
+        assert seen["max_k"] >= 31
+        assert seen["repeated_row"]
+
+
 NODE_BUDGET = SolverOptions(rel_gap_limit=0.01, time_limit=1e6, node_limit=30)
 
 
@@ -550,17 +612,25 @@ class TestWarmStart:
 
     @pytest.fixture(scope="class")
     def storm(self):
+        """The solve, its recorded LPs, and the number of factorizations."""
         monkeypatch = pytest.MonkeyPatch()
         model = horizon_model("post-storm", 36, 0.5)
+        factorizations = []
+
+        def counted_splu(a):
+            factorizations.append(a.shape)
+            return splu(a)
+
+        monkeypatch.setattr(offgrid.milp.simplex, "splu", counted_splu)
         try:
             solution, calls = recorded_lps(monkeypatch, model, NODE_BUDGET)
         finally:
             monkeypatch.undo()
         assert solution.status == "TimeLimit" and solution.nodes_explored >= 30
-        return model, solution, calls
+        return model, solution, calls, len(factorizations)
 
     def test_every_warm_lp_equals_cold_and_highs(self, storm):
-        model, _solution, calls = storm
+        model, _solution, calls, _factorizations = storm
         std = as_standard_form(model)
         warm = [(lb, ub, res) for lb, ub, start, res in calls if start is not None]
         assert len(warm) == len(calls) - 1  # all but the root
@@ -577,13 +647,13 @@ class TestWarmStart:
         assert statuses == {"optimal", "infeasible"}
 
     def test_seedless_solve_rounds_and_fixes_at_the_root_only(self, storm):
-        model, solution, calls = storm
+        model, solution, calls, _factorizations = storm
         assert solution.has_incumbent
         assert round_fix_lps(as_standard_form(model), calls) == [1]  # right after the root
         assert calls[1][2] is calls[0][3].basis
 
     def test_node_lps_take_a_fifth_of_cold_iterations(self, storm):
-        model, _solution, calls = storm
+        model, _solution, calls, _factorizations = storm
         std = as_standard_form(model)
         bins = np.flatnonzero(std.is_binary)
         nodes = [(lb, ub, res) for lb, ub, _start, res in calls[1:]
@@ -594,12 +664,41 @@ class TestWarmStart:
         assert warm * 5 <= cold, (warm, cold)
 
     def test_repeats_bit_for_bit(self, storm):
-        model, first, _calls = storm
+        model, first, _calls, _factorizations = storm
         second = solve_milp(model, NODE_BUDGET)
         assert first.values.tobytes() == second.values.tobytes()
         assert (first.nodes_explored, first.simplex_iterations) == \
             (second.nodes_explored, second.simplex_iterations)
         assert (first.objective, first.best_bound) == (second.objective, second.best_bound)
+
+    def test_children_inherit_the_parent_factor(self, storm):
+        """One factorization per 32 pivots over the whole tree, where
+        factorizing every warm start would add one per LP."""
+        _model, solution, calls, factorizations = storm
+        assert len(calls) >= 30
+        assert factorizations <= 1 + solution.simplex_iterations // 32
+
+    def test_start_with_factor_gives_the_basic_values_of_a_fresh_one(self, storm):
+        model, _solution, calls, _factorizations = storm
+        std = as_standard_form(model)
+        for lb, ub, start, _res in calls[1:]:
+            assert start.factor is not None
+            inherited = _BoundedSimplex(std, lb, ub, start=start)
+            fresh = _BoundedSimplex(std, lb, ub, start=Basis(start.rows, start.status))
+            np.testing.assert_allclose(inherited.x, fresh.x, rtol=1e-9, atol=1e-9)
+
+    def test_children_leave_the_shared_factor_as_they_found_it(self, storm):
+        """Every warm LP solved again, after its siblings and the rest of the
+        tree started from the same parent basis, repeats bit for bit."""
+        model, _solution, calls, _factorizations = storm
+        std = as_standard_form(model)
+        shared = [start for _lb, _ub, start, _res in calls[1:]]
+        assert len({id(start) for start in shared}) < len(shared)  # siblings share one
+        for lb, ub, start, res in calls[1:]:
+            again = solve_lp_std(std, lb, ub, start=start)
+            assert (again.status, again.iterations) == (res.status, res.iterations)
+            if res.status == "optimal":
+                assert again.x.tobytes() == res.x.tobytes()
 
     def test_singular_start_falls_back_to_cold_optimum(self):
         model = random_model(np.random.default_rng(12), 0, 8, 6)
